@@ -138,6 +138,8 @@ def test_bench_e15_divergence(benchmark):
     )
 
     exits = counters.get("divergence.early_exits", 0)
+    state_hits = counters.get("divergence.state_hits", 0)
+    state_entries = counters.get("divergence.state_entries", 0)
     memo_hits = counters.get("divergence.memo_hits", 0)
     probes = counters.get("divergence.probes", 0)
     skipped = counters.get("divergence.cycles_skipped", 0)
@@ -152,8 +154,9 @@ def test_bench_e15_divergence(benchmark):
     print(f"  plain: {plain_seconds:8.3f} s")
     print(f"  fast:  {fast_seconds:8.3f} s   speedup {speedup:.2f}x")
     print(
-        f"  early exits {exits}, memo hits {memo_hits}, probes {probes}, "
-        f"cycles skipped {skipped}"
+        f"  early exits {exits}, state hits {state_hits} "
+        f"({state_entries} states recorded), memo hits {memo_hits}, "
+        f"probes {probes}, cycles skipped {skipped}"
     )
 
     write_bench_json(
@@ -167,6 +170,8 @@ def test_bench_e15_divergence(benchmark):
             "fast_seconds": fast_seconds,
             "early_exit_speedup": speedup,
             "early_exits": exits,
+            "state_hits": state_hits,
+            "state_entries": state_entries,
             "memo_hits": memo_hits,
             "cycles_skipped_total": skipped,
             "outcomes_identical": plain_rows == fast_rows,
@@ -180,7 +185,7 @@ def test_bench_e15_divergence(benchmark):
     assert plain_rows == fast_rows
     assert exits > 0
     assert skipped > 0
-    assert exits + memo_hits <= N_EXPERIMENTS
+    assert exits + state_hits + memo_hits <= N_EXPERIMENTS
 
     # Wall-clock acceptance number — only meaningful at paper scale,
     # where the reference run and per-experiment fixed costs amortise.

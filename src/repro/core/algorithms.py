@@ -32,6 +32,8 @@ from repro.core.checkpoint import (
 from repro.core.divergence import (
     MemoEntry,
     OutcomeMemo,
+    StateOutcome,
+    StateTable,
     memo_key,
     run_window,
 )
@@ -154,22 +156,27 @@ class FaultInjectionAlgorithms(abc.ABC):
         #: None when the campaign, technique or port rules them out.
         self._checkpoints: Optional[CheckpointStore] = None
         #: Divergence-window execution: probe the faulty run's state
-        #: digest against the golden checkpoints after injection and
-        #: synthesize the golden outcome on re-convergence instead of
-        #: simulating the tail. Not part of CampaignData for the same
-        #: reason as :attr:`verify_equivalence`: it changes how much is
+        #: fingerprint at every golden tick after injection and replay
+        #: the known outcome of a state seen before (the golden run's or
+        #: an earlier experiment's) instead of simulating the tail. Not
+        #: part of CampaignData for the same reason as
+        #: :attr:`verify_equivalence`: it changes how much is
         #: simulated, never what the campaign computes (byte-identity is
         #: property-tested), so it must not perturb config hashes.
         #: Disabled by ``goofi run --no-early-exit``.
         self.early_exit: bool = True
         #: Outcome memoization: replay the recorded outcome of an
         #: earlier experiment with the same (restore checkpoint digest,
-        #: canonical injection delta) key instead of executing. Same
-        #: non-CampaignData rationale as :attr:`early_exit`.
+        #: canonical injection delta) key instead of executing, and
+        #: record the faulty states experiments pass through in the
+        #: state table. Same non-CampaignData rationale as
+        #: :attr:`early_exit`.
         self.memoize: bool = True
-        #: Per-campaign-binding memo table (reset on rebind: a "cold"
-        #: key from another workload must never shortcut this one).
+        #: Per-campaign-binding memo and state tables (reset on rebind:
+        #: a "cold" key or a state of another workload must never
+        #: shortcut this one).
         self._memo: Optional[OutcomeMemo] = None
+        self._states: Optional[StateTable] = None
         #: Optional :class:`repro.core.goldencache.GoldenRunCache` —
         #: when set, :meth:`prepare_run` reuses a cached golden run
         #: (trace + fingerprint + checkpoint store) keyed by the
@@ -323,22 +330,20 @@ class FaultInjectionAlgorithms(abc.ABC):
         )
 
     def capture_state_digest(self) -> str:
-        """Canonical :func:`repro.core.checkpoint.state_digest` of the
-        stopped faulty target, computed exactly the way
-        ``capture_checkpoint`` fingerprints the golden run — equality
-        with a golden tick's fingerprint proves re-convergence. Unlike
-        ``capture_checkpoint`` this must not perturb the target (no
-        payload assembly, no dirty-tracking reset beyond draining)."""
+        """Exact fingerprint of the stopped faulty target, computed
+        exactly the way ``capture_checkpoint`` fingerprints the golden
+        run. It must cover everything future execution can read, the
+        cycle counter included: equal fingerprints must imply equal
+        futures, because the state table replays outcomes on equality.
+        Unlike ``capture_checkpoint`` this must not perturb the target
+        (no payload assembly, no dirty-tracking reset beyond draining)."""
         raise NotImplementedByPort(
             type(self).__name__, "capture_state_digest"
         )
 
     def capture_core_digest(self) -> str:
-        """Optional cheap pre-filter for divergence probing: a digest
-        over a strict *subset* of ``capture_state_digest``'s coverage
-        (so a mismatch here proves a full mismatch). Ports that cannot
-        split their state cheaply just leave this unimplemented — the
-        window runner then compares full digests directly."""
+        """Optional diagnostic digest over part of the state (for Thor:
+        the CPU core). The campaign engine does not call it."""
         raise NotImplementedByPort(
             type(self).__name__, "capture_core_digest"
         )
@@ -384,6 +389,7 @@ class FaultInjectionAlgorithms(abc.ABC):
         self._reference = None
         self._checkpoints = None
         self._memo = None
+        self._states = None
 
     def _check_technique_spaces(self, campaign: CampaignData) -> None:
         allowed = self.TECHNIQUE_SPACES[campaign.technique]
@@ -1135,14 +1141,21 @@ class FaultInjectionAlgorithms(abc.ABC):
         probing: bool,
     ) -> None:
         """Complete a stop-and-inject experiment after its injection
-        loop: probe the divergence window when armed (synthesizing the
-        golden outcome on re-convergence), otherwise — or when probing
-        stays inconclusive — run the plain tail to termination."""
+        loop: probe the divergence window when armed (replaying the
+        outcome of a state already seen), otherwise — or when probing
+        stays inconclusive — run the plain tail to termination. With
+        :attr:`memoize` on, the fingerprints the experiment missed on
+        are recorded against the outcome it reached."""
         campaign = self._require_campaign()
+        table: Optional[StateTable] = None
+        probed: List[str] = []
         if termination is None and probing:
-            window = run_window(self, plan, self._reference, self._checkpoints)
-            if window.converged:
-                self._finish_golden(result)
+            table = self._state_table()
+            window = run_window(self, plan, self._reference, table)
+            probed = window.probed
+            if window.replay is not None:
+                window.replay.apply(result)
+                self._record_states(table, probed, window.replay)
                 return
             termination = window.termination
         if termination is None:
@@ -1150,20 +1163,32 @@ class FaultInjectionAlgorithms(abc.ABC):
                 self._experiment_budget(), campaign.max_iterations
             )
         self._finish(result, termination)
+        if table is not None and probed:
+            self._record_states(
+                table,
+                probed,
+                StateOutcome.of(
+                    termination, result.outputs, result.state_vector
+                ),
+            )
 
-    def _finish_golden(self, result: ExperimentResult) -> None:
-        """Fill ``result`` with the golden run's outcome — the faulty
-        run's state digest matched a golden tick, so its future is the
-        golden future and its final termination/outputs/state vector are
-        the reference run's, byte for byte. Fresh copies, never aliases:
-        results outlive the experiment and are mutated downstream."""
-        reference = self._reference
-        assert reference is not None
-        result.termination = Termination.from_dict(
-            reference.termination.to_dict()
-        )
-        result.outputs = dict(reference.outputs)
-        result.state_vector = dict(reference.state_vector)
+    def _state_table(self) -> StateTable:
+        """The campaign-scoped state table, seeded from the golden ticks
+        of the bound campaign's checkpoint store on first use."""
+        if self._states is None:
+            assert self._reference is not None
+            self._states = StateTable(self._reference, self._checkpoints)
+        return self._states
+
+    def _record_states(
+        self, table: StateTable, probed: List[str], outcome: StateOutcome
+    ) -> None:
+        if not self.memoize or not probed:
+            return
+        added = table.record(probed, outcome)
+        obs = get_observability()
+        if added and obs.metrics.enabled:
+            obs.metrics.counter("divergence.state_entries").inc(added)
 
     def _memo_table(self) -> Optional[OutcomeMemo]:
         """The campaign-scoped outcome memo, or None when memoization

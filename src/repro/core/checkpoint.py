@@ -21,11 +21,13 @@ target-independent half of that trick:
   by replaying the deltas in order (later deltas win). A 1000-checkpoint
   store over a workload that touches a handful of pages therefore stays
   bounded by *pages touched*, not *checkpoints × address space*;
-* :func:`state_digest` — a canonical structural hash used as the
-  restore fingerprint: a port recomputes the digest over its live state
-  after a restore and falls back to a cold start on any mismatch
-  (:class:`CheckpointMismatch`), so warm starts can never silently
-  diverge from the cold path.
+* :func:`state_digest` — a canonical structural hash of nested plain
+  data (memo keys, snapshot comparisons in tests).
+
+Every tick carries a port-computed *fingerprint* of the live state: a
+port recomputes it after a restore and falls back to a cold start on any
+mismatch (:class:`CheckpointMismatch`), so warm starts can never
+silently diverge from the cold path.
 
 The per-experiment RNG substreams (:class:`repro.util.rng.
 CampaignRandom`) are derived from ``(seed, index)`` and never advanced
@@ -65,8 +67,11 @@ __all__ = [
 #: requirement. v3: bulk payloads (memory pages, cache arrays, scan-chain
 #: captures) travel as typed ``array`` buffers hashed via ``tobytes`` —
 #: a different canonical encoding than the v2 int-list walk, so v2
-#: stores miss cleanly through the golden-cache key.
-CHECKPOINT_FORMAT = 3
+#: stores miss cleanly through the golden-cache key. v4: the port hashes
+#: one fixed-layout encoding of its state instead of walking a nested
+#: structure, and ticks no longer carry a separate core fingerprint;
+#: v3 fingerprints would fail every restore check, so v3 stores miss.
+CHECKPOINT_FORMAT = 4
 
 #: Words per memory page in the dirty-page delta encoding (2^8 words —
 #: small enough that a sparse workload dirties few pages, large enough
@@ -89,7 +94,7 @@ class CheckpointMismatch(CampaignError):
     """A restored target's fingerprint disagrees with the checkpoint's.
 
     Raised by a port's ``restore_checkpoint()`` when the recomputed
-    :func:`state_digest` over the live post-restore state does not match
+    fingerprint of the live post-restore state does not match
     the digest captured along the reference run. The algorithm layer
     treats this as a *cold fall*: the experiment silently restarts from
     reset, trading speed for guaranteed fidelity.
@@ -168,19 +173,14 @@ class CheckpointTick:
     previous tick** (for the first tick: every page that is non-zero or
     was written since reset). ``fingerprint`` is the
     :func:`state_digest` the port computed over the live state at
-    capture time; restores verify against it. ``core_fingerprint`` is an
-    optional cheap digest over a strict *subset* of the fingerprinted
-    state (for Thor: the CPU core without memory pages or scan chains) —
-    the divergence-window runner compares it first and only pays the
-    full-state digest once the cores already agree, since a subset
-    mismatch proves a full mismatch (checkpoint format v2).
+    capture time; restores verify against it, and the divergence-window
+    runner looks faulty-run digests up against it.
     """
 
     cycle: int
     payload: Dict[str, Any]
     dirty_pages: Dict[int, Sequence[int]] = field(default_factory=dict)
     fingerprint: str = ""
-    core_fingerprint: str = ""
 
 
 @dataclass

@@ -3,24 +3,26 @@
 A fault-injection experiment differs from the golden (reference) run
 only inside its *divergence window*: the fault-free prefix is identical
 by construction (PR 5's warm starts exploit that end), and once the
-fault's architectural effect has been overwritten the faulty run's
-state re-converges with the golden run's — from that instant the two
-executions are the same execution, so simulating the faulty tail just
-recomputes the golden outcome. ZOFI (Porpodas, 2019) builds its whole
-speedup on this observation; this module provides the
+faulty run reaches a state whose future is already known, simulating
+the rest just recomputes a known outcome. ZOFI (Porpodas, 2019) builds
+its whole speedup on this observation; this module provides the
 target-independent half of it for GOOFI's building-block algorithms:
 
+* :class:`StateTable` — a per-campaign table from exact state
+  fingerprints to outcomes. The golden checkpoint ticks seed it with the
+  golden outcome; every experiment that runs to termination while
+  probing adds the fingerprints it passed through, all pointing at one
+  shared :class:`StateOutcome`. The fingerprint is total over everything
+  future execution can read (registers, pipeline latches incl. force
+  flags, caches, bus forcing, run counters incl. the cycle, cumulative
+  dirty memory pages, environment simulator), so two runs that reach
+  the same fingerprint have the same future: the same termination,
+  outputs and state vector.
+
 * :func:`run_window` — after the last injection action, run the faulty
-  target forward in hops of the reference run's checkpoint cadence and
-  compare its canonical :func:`~repro.core.checkpoint.state_digest`
-  against the golden :class:`~repro.core.checkpoint.CheckpointStore`
-  tick at the same cycle. A digest match proves re-convergence (the
-  fingerprint is total over everything future execution can read:
-  registers, pipeline latches incl. force flags, caches, bus forcing,
-  run counters, cumulative dirty memory pages, environment simulator),
-  so the experiment's outcome *is* the golden outcome and the tail is
-  skipped. Any mismatch — including a faulty run that dirtied pages the
-  golden run never touched — just means "keep simulating": false
+  target forward to every golden tick and look its fingerprint up in
+  the table. A hit ends the experiment with the recorded outcome and
+  skips the tail; a miss just means "keep simulating", so false
   negatives cost speed, never correctness.
 
 * :class:`OutcomeMemo` — a per-campaign memo table keyed by
@@ -31,12 +33,15 @@ target-independent half of it for GOOFI's building-block algorithms:
   first's record byte-for-byte. The parallel runner ships newly recorded
   entries to the parent with each shard's ``"done"`` message and
   forwards the merged table to workers on dispatch — the same
-  parent-side merge topology as the golden-run cache.
+  parent-side merge topology as the golden-run cache. State-table
+  entries stay in the process that recorded them.
 
 Both features are observable through the ``divergence.*`` metrics
-family (``early_exits``, ``cycles_skipped``, ``memo_hits``, plus
-``probes`` and ``memo_inserts`` for rate diagnostics) and are disabled
-by ``goofi run --no-early-exit``.
+family (``early_exits`` for hits that replay the golden outcome,
+``state_hits`` for hits that replay another experiment's outcome,
+``cycles_skipped``, ``memo_hits``, plus ``probes``,
+``full_digests``, ``state_entries`` and ``memo_inserts`` for rate
+diagnostics) and are disabled by ``goofi run --no-early-exit``.
 """
 
 from __future__ import annotations
@@ -56,8 +61,11 @@ from repro.util.errors import NotImplementedByPort
 
 __all__ = [
     "COLD_RESTORE_KEY",
+    "MAX_STATE_ENTRIES",
     "MemoEntry",
     "OutcomeMemo",
+    "StateOutcome",
+    "StateTable",
     "WindowOutcome",
     "memo_key",
     "plan_delta",
@@ -67,6 +75,11 @@ __all__ = [
 #: Restore-digest sentinel for experiments that start from reset rather
 #: than from a checkpoint (cold path, SWIFI techniques, empty stores).
 COLD_RESTORE_KEY = "cold"
+
+#: Hard cap on faulty-state fingerprints one campaign binding records,
+#: so a long campaign cannot grow the table without bound. Past the cap
+#: lookups go on and recording stops; golden ticks never count.
+MAX_STATE_ENTRIES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -107,18 +120,42 @@ def memo_key(restore_digest: Optional[str], plan: Any) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Memo table
+# Outcomes and the memo table
 # ---------------------------------------------------------------------------
 
 @dataclass
-class MemoEntry:
-    """Everything needed to replay a completed experiment's outcome onto
-    a fresh :class:`ExperimentResult` byte-for-byte (modulo the
-    legitimately nondeterministic wall-clock field)."""
+class StateOutcome:
+    """The outcome every run from one state reaches: termination,
+    outputs and state vector. One instance is shared by all fingerprints
+    an experiment recorded; :meth:`apply` hands out fresh copies and
+    leaves the experiment's own injections alone."""
 
     termination: Dict[str, Any]
     outputs: Dict[str, int]
     state_vector: Dict[str, int]
+
+    @classmethod
+    def of(
+        cls,
+        termination: Termination,
+        outputs: Dict[str, int],
+        state_vector: Dict[str, int],
+    ) -> "StateOutcome":
+        return cls(termination.to_dict(), dict(outputs), dict(state_vector))
+
+    def apply(self, result: ExperimentResult) -> None:
+        result.termination = Termination.from_dict(dict(self.termination))
+        result.outputs = dict(self.outputs)
+        result.state_vector = dict(self.state_vector)
+
+
+@dataclass
+class MemoEntry(StateOutcome):
+    """Everything needed to replay a completed experiment's outcome onto
+    a fresh :class:`ExperimentResult` byte-for-byte (modulo the
+    legitimately nondeterministic wall-clock field): its outcome plus
+    the injections it logged."""
+
     injections: List[Dict[str, Any]] = field(default_factory=list)
 
     @classmethod
@@ -132,11 +169,10 @@ class MemoEntry:
         )
 
     def apply(self, result: ExperimentResult) -> None:
-        """Fill ``result`` with this entry's outcome (fresh copies — a
-        memo entry is shared across experiments and processes)."""
-        result.termination = Termination.from_dict(dict(self.termination))
-        result.outputs = dict(self.outputs)
-        result.state_vector = dict(self.state_vector)
+        """Fill ``result`` with this entry's outcome and injections
+        (fresh copies — a memo entry is shared across experiments and
+        processes)."""
+        super().apply(result)
         result.injections = [
             Injection.from_dict(row) for row in self.injections
         ]
@@ -230,6 +266,51 @@ class OutcomeMemo:
 
 
 # ---------------------------------------------------------------------------
+# State-convergence table
+# ---------------------------------------------------------------------------
+
+class StateTable:
+    """Exact state fingerprints -> the outcome runs from there reach.
+
+    Built for one reference run and its checkpoint store: each golden
+    tick before the reference termination maps to the golden outcome.
+    :meth:`record` adds a finished experiment's probed fingerprints.
+    A fingerprint covers the cycle counter, so a key names one state at
+    one instant and the tick it was probed at needs no separate key."""
+
+    def __init__(self, reference: ReferenceRun, store: Any) -> None:
+        self.store = store
+        self.golden = StateOutcome.of(
+            reference.termination, reference.outputs, reference.state_vector
+        )
+        self._outcomes: Dict[str, StateOutcome] = {}
+        for index in range(len(store)):
+            tick = store.tick(index)
+            if tick.cycle >= reference.duration_cycles:
+                break
+            self._outcomes[tick.fingerprint] = self.golden
+        #: Faulty-state fingerprints recorded so far (golden excluded).
+        self.recorded = 0
+
+    def lookup(self, digest: str) -> Optional[StateOutcome]:
+        return self._outcomes.get(digest)
+
+    def record(self, digests: List[str], outcome: StateOutcome) -> int:
+        """Map each of ``digests`` to ``outcome``; returns how many were
+        new. Stops at :data:`MAX_STATE_ENTRIES`."""
+        added = 0
+        outcomes = self._outcomes
+        for digest in digests:
+            if self.recorded >= MAX_STATE_ENTRIES:
+                break
+            if digest not in outcomes:
+                outcomes[digest] = outcome
+                self.recorded += 1
+                added += 1
+        return added
+
+
+# ---------------------------------------------------------------------------
 # Divergence-window execution
 # ---------------------------------------------------------------------------
 
@@ -237,106 +318,80 @@ class OutcomeMemo:
 class WindowOutcome:
     """What probing the divergence window established.
 
-    Exactly one of three shapes:
-
-    * ``converged=True`` — the faulty run's digest matched the golden
-      tick at ``cycle``; the caller synthesizes the golden outcome and
-      skips the tail (``cycles_skipped`` were not simulated);
+    * ``replay`` set — the faulty run's fingerprint at a probed tick was
+      in the table; the caller applies that outcome and skips the tail;
     * ``termination`` set — the experiment really ended (trap, halt,
       timeout, iteration limit) while running toward a probe cycle; the
       caller finishes normally with it;
-    * neither — probes exhausted (or the port cannot digest); the
-      caller falls through to the plain run-to-termination tail.
-    """
+    * neither — every tick missed (or the port cannot digest); the
+      caller runs the plain tail to termination.
 
-    converged: bool = False
-    cycle: int = 0
-    cycles_skipped: int = 0
+    ``probed`` lists the fingerprints that missed, in probe order — the
+    caller records them against the outcome the experiment reaches."""
+
+    replay: Optional[StateOutcome] = None
     termination: Optional[Termination] = None
+    probed: List[str] = field(default_factory=list)
 
 
 def run_window(
     port: Any,
     plan: Any,
     reference: ReferenceRun,
-    store: Any,
+    table: StateTable,
 ) -> WindowOutcome:
-    """Probe the post-injection window against the golden checkpoints.
+    """Probe the post-injection window against the state table.
 
     ``port`` is the bound algorithm instance: probing composes its
     ``wait_for_breakpoint`` building block (the same stop-at-cycle hop
     the injection loop uses — stop checks precede timeout checks, so
-    splitting the tail into hops perturbs nothing) with the optional
-    ``capture_state_digest`` block. Golden ticks strictly after the last
-    injection action and strictly before the reference termination are
-    candidates; the first digest match wins.
-
-    Probing every candidate tick would spend one full-state digest per
-    checkpoint interval on experiments that never re-converge — measured
-    on the Thor workloads that overhead cancels the exit wins. Observed
-    convergence is strongly bimodal: either the fault is overwritten
-    almost immediately (first tick after injection) or the state snaps
-    back only in the workload epilogue. The probe schedule matches that
-    shape — geometric backoff over the candidate ticks (offsets 0, 1, 3,
-    7, 15, ...) plus always the final candidate — bounding the digest
-    cost at O(log ticks) per experiment while catching both modes. A
-    skipped tick can only delay an exit to the next probed one; it never
-    changes an outcome."""
+    splitting the tail into hops perturbs nothing) with the
+    ``capture_state_digest`` block. Every golden tick strictly after the
+    last injection action and strictly before the reference termination
+    is probed; the first fingerprint found in ``table`` wins."""
+    outcome = WindowOutcome()
     actions = plan.sorted_actions()
     if not actions:
-        return WindowOutcome()
+        return outcome
+    store = table.store
     start = store.first_after(actions[-1].time)
     if start is None:
-        return WindowOutcome()
-    candidates = []
-    for index in range(start, len(store)):
-        if store.tick(index).cycle >= reference.duration_cycles:
-            break
-        candidates.append(index)
-    if not candidates:
-        return WindowOutcome()
-    probed = []
-    offset = 0
-    while offset < len(candidates):
-        probed.append(candidates[offset])
-        offset = offset * 2 + 1
-    if probed[-1] != candidates[-1]:
-        probed.append(candidates[-1])
+        return outcome
     obs = get_observability()
     metrics = obs.metrics
-    for index in probed:
-        tick = store.tick(index)
-        termination = port.wait_for_breakpoint(tick.cycle)
+    for index in range(start, len(store)):
+        cycle = store.tick(index).cycle
+        if cycle >= reference.duration_cycles:
+            break
+        termination = port.wait_for_breakpoint(cycle)
         if termination is not None:
-            return WindowOutcome(termination=termination)
-        if metrics.enabled:
-            metrics.counter("divergence.probes").inc()
-        if tick.core_fingerprint:
-            # Cheap rejection: the core digest covers a subset of the
-            # full fingerprint, so a mismatch proves divergence without
-            # hashing memory pages and scan chains.
-            try:
-                if port.capture_core_digest() != tick.core_fingerprint:
-                    continue
-            except NotImplementedByPort:
-                pass
+            outcome.termination = termination
+            return outcome
         try:
             digest = port.capture_state_digest()
         except NotImplementedByPort:
-            return WindowOutcome()
+            return outcome
         if metrics.enabled:
+            metrics.counter("divergence.probes").inc()
             metrics.counter("divergence.full_digests").inc()
-        if digest == tick.fingerprint:
-            skipped = reference.duration_cycles - tick.cycle
-            if metrics.enabled:
-                metrics.counter("divergence.early_exits").inc()
-                metrics.counter("divergence.cycles_skipped").inc(skipped)
-            obs.tracer.event(
-                "divergence-exit",
-                cycle=tick.cycle,
-                cycles_skipped=skipped,
-            )
-            return WindowOutcome(
-                converged=True, cycle=tick.cycle, cycles_skipped=skipped
-            )
-    return WindowOutcome()
+        replay = table.lookup(digest)
+        if replay is None:
+            outcome.probed.append(digest)
+            continue
+        skipped = replay.termination["cycle"] - cycle
+        golden = replay is table.golden
+        if metrics.enabled:
+            metrics.counter(
+                "divergence.early_exits" if golden
+                else "divergence.state_hits"
+            ).inc()
+            metrics.counter("divergence.cycles_skipped").inc(skipped)
+        obs.tracer.event(
+            "divergence-exit",
+            cycle=cycle,
+            cycles_skipped=skipped,
+            replay="golden" if golden else "state",
+        )
+        outcome.replay = replay
+        return outcome
+    return outcome

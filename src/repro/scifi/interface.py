@@ -10,8 +10,10 @@ the simulation baseline.
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 import re
+from array import array
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.campaign import CampaignData
@@ -19,7 +21,6 @@ from repro.core.checkpoint import (
     CheckpointMismatch,
     CheckpointTick,
     RestoreImage,
-    state_digest,
 )
 from repro.core.experiment import Injection, StateVector, Termination
 from repro.core.faultmodels import InjectionAction, InjectionPlan, apply_op
@@ -30,16 +31,103 @@ from repro.environment.simulator import build_environment
 from repro.swifi.instrument import TrapInstrumenter, _invalidate_cached_word
 from repro.swifi.preruntime import flip_image_bit
 from repro.thor import isa
-from repro.thor.cpu import CpuConfig
+from repro.thor.cpu import Cpu, CpuConfig
 from repro.thor.isa import Opcode, try_decode
 from repro.thor.effects import register_effects
 from repro.thor.testcard import DebugEvent, DebugEventKind, TestCard
+from repro.thor.traps import Trap
 from repro.util.bits import bit_get, bit_set
 from repro.util.errors import CampaignError, TargetError
 from repro.workloads import WorkloadDefinition, get_workload
 
 _MEM_PATH_RE = re.compile(r"^word\.0x([0-9a-fA-F]+)$")
 _SWREG_RE = re.compile(r"^cpu\.regfile\.r(\d+)$")
+
+#: Stand-in for ``None`` in the fingerprint header. Every real field is
+#: a non-negative machine value, so the sentinel cannot collide.
+_NONE = -(1 << 63)
+#: Latched trap -> header code (0 = no trap latched).
+_TRAP_KINDS = {trap: index + 1 for index, trap in enumerate(Trap)}
+
+
+def _optional(value: Optional[int]) -> int:
+    return _NONE if value is None else value
+
+
+def _core_header(cpu: Cpu) -> array:
+    """The CPU's scalar state in one fixed-layout ``array("q")``: run
+    counters, halt and trap-latched flags, PC, PSR, pipeline latches
+    (force flag included), bus forcing, the ``last_exec`` record (with
+    length prefixes for its register tuples), the register file, and
+    per cache its access counters and every line's valid/tag/tag-parity
+    fields. Cache data and parity words go to the hash as buffers."""
+    last = cpu.last_exec
+    trap = cpu.trap_event
+    pipeline = cpu.pipeline
+    bus = cpu.bus
+    header = array(
+        "q",
+        (
+            cpu.cycles,
+            cpu.instret,
+            cpu.iterations,
+            cpu.halted,
+            0 if trap is None else _TRAP_KINDS[trap.trap],
+            cpu.pc,
+            cpu.psr.to_word(),
+            pipeline.ir,
+            pipeline.mar,
+            pipeline.mdr,
+            pipeline.ir_forced,
+            bus.force_mask,
+            bus.force_value,
+            bus.force_reads,
+            last.pc,
+            _optional(last.opcode),
+            last.branch_taken,
+            _optional(last.mem_address),
+            _optional(last.mem_value),
+            last.mem_is_write,
+            len(last.reg_reads),
+            *last.reg_reads,
+            len(last.reg_writes),
+            *last.reg_writes,
+        ),
+    )
+    header.extend(cpu.regs.snapshot())
+    for cache in (cpu.icache, cpu.dcache):
+        stats = cache.stats
+        header.extend((stats.hits, stats.misses, stats.parity_errors))
+        for line in cache.lines:
+            header.extend((line.valid, line.tag, line.tag_parity))
+    return header
+
+
+def state_fingerprint(
+    cpu: Cpu, pages: Sequence[int], env_blob: bytes
+) -> str:
+    """Exact fingerprint of a stopped card's full state, hashed from one
+    fixed layout: the :func:`_core_header`, extended by the protection
+    range and the length-prefixed sorted page list; then the cache data
+    and parity arrays, the listed memory pages and the pickled
+    environment simulator as raw buffers. Every length is fixed by the
+    CPU configuration or prefixed in the header, so the byte stream is
+    unambiguous, and no field of ``cpu.snapshot()`` or scan-visible
+    cell is left out (pinned by tests/scifi/test_fingerprint.py)."""
+    memory = cpu.memory
+    header = _core_header(cpu)
+    header.extend(memory.protected_range())
+    header.append(len(pages))
+    header.extend(pages)
+    digest = hashlib.sha256(header)
+    update = digest.update
+    for cache in (cpu.icache, cpu.dcache):
+        for line in cache.lines:
+            update(line.data)
+            update(line.data_parity)
+    memory.feed_pages(digest, pages)
+    update(env_blob)
+    return digest.hexdigest()
 
 
 def _termination_from_event(event: DebugEvent) -> Termination:
@@ -584,15 +672,14 @@ class ThorRDInterface(Framework):
             "environment": env_blob,
         }
         pages = {page: memory.read_page(page) for page in sorted(dirty)}
-        fingerprint = self._checkpoint_fingerprint(
-            sorted(self._checkpoint_pages), env_blob
+        fingerprint = state_fingerprint(
+            self.card.cpu, sorted(self._checkpoint_pages), env_blob
         )
         return CheckpointTick(
             cycle=self.card.cpu.cycles,
             payload=payload,
             dirty_pages=pages,
             fingerprint=fingerprint,
-            core_fingerprint=self._core_fingerprint(),
         )
 
     def restore_checkpoint(self, image: RestoreImage) -> None:
@@ -636,8 +723,8 @@ class ThorRDInterface(Framework):
         restored_blob = pickle.dumps(
             self._environment, protocol=pickle.HIGHEST_PROTOCOL
         )
-        fingerprint = self._checkpoint_fingerprint(
-            sorted(image.pages), restored_blob
+        fingerprint = state_fingerprint(
+            self.card.cpu, sorted(image.pages), restored_blob
         )
         if fingerprint != image.fingerprint:
             raise CheckpointMismatch(
@@ -661,13 +748,11 @@ class ThorRDInterface(Framework):
         memory.start_dirty_tracking()
 
     def capture_core_digest(self) -> str:
-        """Cheap pre-filter digest of the faulty card (CPU core only —
-        a strict subset of :meth:`capture_state_digest`'s coverage, so a
-        mismatch here proves the full digests mismatch too). Roughly 5x
-        cheaper than the full fingerprint; the divergence-window runner
-        uses it to reject still-diverged probes without hashing memory
-        pages and scan chains."""
-        return self._core_fingerprint()
+        """Digest of the CPU core alone (the fingerprint's fixed-layout
+        header: no cache words, memory pages or environment). Nothing in
+        the campaign engine calls it; it stays as a cheap diagnostic
+        view of the core state."""
+        return hashlib.sha256(_core_header(self.card.cpu)).hexdigest()
 
     def capture_state_digest(self) -> str:
         """Fingerprint of the stopped faulty card, computed exactly like
@@ -680,64 +765,9 @@ class ThorRDInterface(Framework):
         env_blob = pickle.dumps(
             self._environment, protocol=pickle.HIGHEST_PROTOCOL
         )
-        return self._checkpoint_fingerprint(
-            sorted(self._checkpoint_pages), env_blob
+        return state_fingerprint(
+            self.card.cpu, sorted(self._checkpoint_pages), env_blob
         )
-
-    def _core_fingerprint(self) -> str:
-        """Digest of the run counters and the full CPU snapshot — every
-        part appears verbatim in :meth:`_checkpoint_fingerprint`, which
-        is what makes the cheap-rejection contract sound."""
-        cpu = self.card.cpu
-        return state_digest(
-            {
-                "cycles": cpu.cycles,
-                "instret": cpu.instret,
-                "iterations": cpu.iterations,
-                "halted": cpu.halted,
-                "cpu": cpu.snapshot(),
-            }
-        )
-
-    def _checkpoint_fingerprint(
-        self, pages: Sequence[int], env_blob: bytes
-    ) -> str:
-        """Canonical digest of the card's full live state: run counters,
-        the complete CPU snapshot, every scan-visible cell, the listed
-        memory pages, the protection range and the environment
-        simulator. Computed identically at capture and after restore —
-        any divergence trips the cold fallback.
-
-        The full ``cpu.snapshot()`` (not just the scan-visible chains)
-        makes the digest *total* with respect to future execution —
-        pipeline force flags and the last-executed-instruction record
-        are not scan-mapped but do shape what runs next. Totality is
-        what lets the divergence-window runner treat digest equality as
-        proof of re-convergence (checkpoint format v2).
-
-        Since checkpoint format v3 the bulk parts are contiguous
-        buffers hashed zero-copy: chains contribute
-        :meth:`~repro.thor.scanchain.ScanChain.capture_words` arrays
-        (cell order is structural, so values alone identify the state)
-        and memory pages arrive as ``array`` slices from
-        :meth:`~repro.thor.memory.Memory.read_page`."""
-        cpu = self.card.cpu
-        memory = cpu.memory
-        parts = {
-            "cycles": cpu.cycles,
-            "instret": cpu.instret,
-            "iterations": cpu.iterations,
-            "halted": cpu.halted,
-            "cpu": cpu.snapshot(),
-            "chains": {
-                name: chain.capture_words()
-                for name, chain in self.card.chains.items()
-            },
-            "pages": {page: memory.read_page(page) for page in pages},
-            "protected": list(memory.protected_range()),
-            "environment": env_blob,
-        }
-        return state_digest(parts)
 
     # ------------------------------------------------------------------
     # Helpers

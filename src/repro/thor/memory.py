@@ -20,7 +20,7 @@ hardware except where noted)::
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from repro.thor.isa import WORD_MASK
 
@@ -205,6 +205,15 @@ class Memory:
         if len(words) < PAGE_WORDS:
             words.extend((0,) * (PAGE_WORDS - len(words)))
         return words
+
+    def feed_pages(self, digest: Any, pages: Iterable[int]) -> None:
+        """Feed the word images of ``pages`` to ``digest`` straight from
+        the backing store (no copies — the checkpoint fingerprint path).
+        A short final page feeds only the words that exist."""
+        with memoryview(self._words) as view:
+            for page in pages:
+                base = page * PAGE_WORDS
+                digest.update(view[base : base + PAGE_WORDS])
 
     def load_page(self, page: int, words: Sequence[int]) -> None:
         """Restore one page image (raw chip access: bypasses write

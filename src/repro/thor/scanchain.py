@@ -17,7 +17,6 @@ operation counter, which the E1/E2 benchmarks use.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -179,15 +178,6 @@ class ScanChain:
         not perturb the scan cycle counters the E1/E2 benchmarks
         measure."""
         return [(slot.cell.path, slot.cell.reader()) for slot in self._slots]
-
-    def capture_words(self) -> array:
-        """Raw cell values in chain order as a contiguous ``array('Q')``,
-        **without** shift accounting. Golden-run checkpointing hashes the
-        buffer (``tobytes``) directly instead of walking per-cell
-        ``(path, value)`` tuples; the cell order and paths are structural
-        (fixed per target build), so the values alone identify the
-        chain-visible state."""
-        return array("Q", [slot.cell.reader() for slot in self._slots])
 
     # -- structural queries (used by campaign set-up and the GUI) -------------
 

@@ -299,9 +299,9 @@ class TestOutcomeMemoIntegration:
             assert len(outcomes) == 1
 
     def test_memo_resets_on_rebind(self):
-        """A memo recorded under one campaign binding must never leak
-        into the next (same delta + cold key but a different workload
-        would corrupt outcomes)."""
+        """A memo or state table recorded under one campaign binding
+        must never leak into the next (same delta + cold key but a
+        different workload would corrupt outcomes)."""
         target = create_target("thor-rd")
         duration = _reference_duration()
         target.run_campaign(_late_trigger_campaign(
@@ -310,11 +310,21 @@ class TestOutcomeMemoIntegration:
             n_experiments=4,
         ))
         assert target._memo is not None and len(target._memo) > 0
-        target.read_campaign_data(_late_trigger_campaign(
+        assert target._states is not None and target._states.recorded > 0
+        stale = set(target._states._outcomes)
+        second = _late_trigger_campaign(
             "memo-b", duration, workload_name="vecsum",
             workload_params={},
-        ))
+        )
+        target.read_campaign_data(second)
         assert target._memo is None
+        assert target._states is None
+        # The rebound target runs the second campaign exactly like a
+        # fresh one, and its table holds none of the first one's states.
+        rows = _rows(target.run_campaign(second))
+        assert rows == _rows(create_target("thor-rd").run_campaign(second))
+        if target._states is not None:
+            assert not stale & set(target._states._outcomes)
 
     def test_verify_derived_bypasses_memo(self):
         """--verify-equivalence re-executions must not be served from

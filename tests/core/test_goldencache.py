@@ -139,6 +139,49 @@ class TestVersionedKeys:
             pickle.dump(entry, handle)
         assert cache.load(key) is None
 
+    def test_format3_entry_is_rejected_cleanly(self, tmp_path, monkeypatch):
+        """Golden runs cached under checkpoint format 3 carry
+        fingerprints of the old nested encoding, which no restore check
+        of the current encoding would accept. They must miss — by key,
+        and by stamp when found under a current key — and the campaign
+        must recapture instead of falling cold on every restore."""
+        import repro.core.goldencache as goldencache
+        from repro.core.checkpoint import CHECKPOINT_FORMAT
+        from repro.observability import configure, disable, get_observability
+
+        assert CHECKPOINT_FORMAT == 4
+        cache = GoldenRunCache(tmp_path)
+        monkeypatch.setattr(goldencache, "CHECKPOINT_FORMAT", 3)
+        _, campaign = prepared_target(cache, warm_start=True)
+        old_key = campaign_golden_key(campaign)
+        old_entry = cache.load(old_key)
+        assert old_entry.checkpoint_format == 3
+        monkeypatch.undo()
+
+        key = campaign_golden_key(campaign)
+        assert key != old_key
+        assert cache.load(key) is None
+        # The same entry planted under the current key still misses.
+        for tick in old_entry.checkpoints._ticks:
+            tick.fingerprint = "0" * 64
+        with open(cache.path_for(key), "wb") as handle:
+            pickle.dump(old_entry, handle)
+        assert cache.load(key) is None
+
+        configure(metrics=True)
+        try:
+            target = create_target("thor-rd")
+            target.golden_cache = cache
+            sink = target.run_campaign(campaign)
+            counters = get_observability().metrics.snapshot()["counters"]
+        finally:
+            disable()
+        assert counters.get("goldencache.misses", 0) == 1
+        assert counters.get("checkpoint.hits", 0) > 0
+        assert counters.get("checkpoint.cold_falls", 0) == 0
+        assert len(sink.results) == campaign.n_experiments
+        assert cache.load(key).checkpoint_format == CHECKPOINT_FORMAT
+
 
 class TestPrepareRunIntegration:
     def test_second_prepare_skips_reference_run(self, tmp_path):

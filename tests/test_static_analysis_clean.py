@@ -1,12 +1,11 @@
 """Lint/type gate for the strictly-checked subsystems.
 
-Runs ``ruff check`` and ``mypy`` over the strictly-checked scope
-configured in pyproject.toml (``src/repro/staticanalysis/``, the
-pre-injection oracle, the parallel campaign engine, the campaign
-controller and the observability subsystem). Both tools are optional
-dependencies: when they are not installed the corresponding test is
-skipped, so the tier-1 suite stays runnable in minimal environments —
-the CI lint job hard-fails on the same commands instead.
+Runs ``ruff check`` and ``mypy`` over the strictly-checked scope, which
+is written down only in pyproject.toml (``[tool.mypy] files``; the CI
+lint job reads the same list). Both tools are optional dependencies:
+when they are not installed the corresponding test is skipped, so the
+tier-1 suite stays runnable in minimal environments — the CI lint job
+hard-fails on the same commands instead.
 """
 
 import importlib.util
@@ -17,16 +16,17 @@ from pathlib import Path
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-CHECKED_PATHS = [
-    "src/repro/staticanalysis",
-    "src/repro/core/preinjection.py",
-    "src/repro/core/parallel.py",
-    "src/repro/core/controller.py",
-    "src/repro/core/checkpoint.py",
-    "src/repro/core/goldencache.py",
-    "src/repro/util/sampling.py",
-    "src/repro/observability",
-]
+
+
+def _checked_paths():
+    """The scope from pyproject.toml (``tomllib`` is stdlib from Python
+    3.11; older interpreters need ``tomli`` or skip)."""
+    try:
+        import tomllib
+    except ImportError:
+        tomllib = pytest.importorskip("tomli")
+    with open(REPO_ROOT / "pyproject.toml", "rb") as handle:
+        return tomllib.load(handle)["tool"]["mypy"]["files"]
 
 
 def _have(module: str) -> bool:
@@ -44,11 +44,19 @@ def _run(args):
 
 @pytest.mark.skipif(not _have("ruff"), reason="ruff is not installed")
 def test_ruff_clean():
-    proc = _run(["ruff", "check", *CHECKED_PATHS])
+    proc = _run(["ruff", "check", *_checked_paths()])
     assert proc.returncode == 0, f"ruff findings:\n{proc.stdout}{proc.stderr}"
 
 
 @pytest.mark.skipif(not _have("mypy"), reason="mypy is not installed")
 def test_mypy_clean():
-    proc = _run(["mypy", *CHECKED_PATHS])
+    proc = _run(["mypy"])
     assert proc.returncode == 0, f"mypy findings:\n{proc.stdout}{proc.stderr}"
+
+
+def test_scope_names_existing_paths():
+    paths = _checked_paths()
+    assert "src/repro/core/divergence.py" in paths
+    assert len(set(paths)) == len(paths)
+    for path in paths:
+        assert (REPO_ROOT / path).exists(), path
