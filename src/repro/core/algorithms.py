@@ -4,9 +4,13 @@ Fault-injection algorithms are *compositions of abstract building blocks*:
 ``init_test_card``, ``load_workload``, ``run_workload``,
 ``wait_for_breakpoint``, ``read_scan_chain``, ``inject_fault``,
 ``write_scan_chain``, ``wait_for_termination`` and so on. The concrete
-algorithms — ``fault_injector_scifi``, ``fault_injector_swifi_pre``,
-``fault_injector_swifi_runtime``, ``fault_injector_simfi`` — call only
-these blocks, never target-specific code. Porting the tool to a new
+algorithms — one per-experiment composition per technique,
+``_experiment_scifi``, ``_experiment_swifi_pre``,
+``_experiment_swifi_runtime``, ``_experiment_simfi`` and
+``_experiment_pinlevel`` — call only these blocks, never
+target-specific code. :meth:`FaultInjectionAlgorithms.run_campaign`
+repeats the campaign's composition over its experiments on the one
+campaign loop of :mod:`repro.core.parallel`. Porting the tool to a new
 target means implementing the blocks in a subclass of
 :class:`~repro.core.framework.Framework` (paper Figure 3); adding a new
 technique means writing one more composition here and, when needed, adding
@@ -18,7 +22,7 @@ from __future__ import annotations
 import abc
 import random
 import time as _time
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.campaign import CampaignData
 from repro.core.checkpoint import (
@@ -108,16 +112,6 @@ class _ListSink:
 class FaultInjectionAlgorithms(abc.ABC):
     """Abstract algorithm layer: building blocks + their compositions."""
 
-    # Map technique name -> bound method name, used by the framework layer
-    # and the campaign controller to dispatch a campaign.
-    TECHNIQUE_METHODS = {
-        "scifi": "fault_injector_scifi",
-        "swifi-pre": "fault_injector_swifi_pre",
-        "swifi-runtime": "fault_injector_swifi_runtime",
-        "simfi": "fault_injector_simfi",
-        "pinlevel": "fault_injector_pinlevel",
-    }
-
     # Which location spaces each technique can reach. SCIFI reaches what
     # the scan chains expose; pre-runtime SWIFI only the downloaded
     # program/data image; runtime SWIFI the software-visible state;
@@ -138,12 +132,12 @@ class FaultInjectionAlgorithms(abc.ABC):
         #: Liveness oracle (dynamic, static, or hybrid) when the campaign
         #: enables pre-injection analysis; any object with an
         #: ``is_live(location, time)`` method.
-        self._liveness = None
+        self._liveness: Any = None
         #: :class:`repro.staticanalysis.equivalence.
         #: EquivalencePreInjectionAnalysis` when the campaign selects
         #: ``preinjection_mode="equivalence"`` — the campaign loop uses
         #: it to partition the planned fault list.
-        self._equivalence = None
+        self._equivalence: Any = None
         #: Fraction of statically-derived experiment outcomes that are
         #: re-executed for real and compared against the derivation
         #: (``goofi run --verify-equivalence P``). Any divergence is a
@@ -181,7 +175,7 @@ class FaultInjectionAlgorithms(abc.ABC):
         #: when set, :meth:`prepare_run` reuses a cached golden run
         #: (trace + fingerprint + checkpoint store) keyed by the
         #: campaign's config hash instead of re-executing it.
-        self.golden_cache = None
+        self.golden_cache: Any = None
 
     # ------------------------------------------------------------------
     # Abstract building blocks (Figure 2). A port implements the subset
@@ -593,13 +587,13 @@ class FaultInjectionAlgorithms(abc.ABC):
     # Each technique's per-experiment procedure is a *reentrant* method
     # (``_experiment_<technique>``): it touches only the target state that
     # ``init_test_card`` resets, so any number of experiments can be run
-    # in any order — serially by ``_campaign_loop``, one-off by
-    # ``run_single_experiment``, or sharded over worker processes by
-    # :mod:`repro.core.parallel`.
+    # in any order — by the campaign loop of :mod:`repro.core.parallel`,
+    # in-process or sharded over worker processes, or one-off by
+    # ``run_single_experiment``.
     # ------------------------------------------------------------------
 
-    #: technique name -> bound per-experiment procedure name (the
-    #: counterpart of TECHNIQUE_METHODS for a single experiment).
+    #: technique name -> bound per-experiment procedure name, used by
+    #: ``run_single_experiment`` to dispatch a campaign's experiments.
     TECHNIQUE_EXPERIMENTS = {
         "scifi": "_experiment_scifi",
         "swifi-pre": "_experiment_swifi_pre",
@@ -775,54 +769,13 @@ class FaultInjectionAlgorithms(abc.ABC):
         self._finish_tail(result, plan, termination, probing)
         return result
 
-    def fault_injector_scifi(self, campaign, sink=None, control=None,
-                             _fixed_plans=None, skip_indices=None):
-        """Scan-Chain Implemented Fault Injection — the algorithm of
-        Figure 2, step for step."""
-        return self._campaign_loop(campaign, sink, control,
-                                   _fixed_plans=_fixed_plans,
-                                   skip_indices=skip_indices)
-
-    def fault_injector_swifi_pre(self, campaign, sink=None, control=None,
-                                 _fixed_plans=None, skip_indices=None):
-        """Pre-runtime SWIFI: faults are injected into the program and
-        data areas of the target before it starts to execute."""
-        return self._campaign_loop(campaign, sink, control,
-                                   _fixed_plans=_fixed_plans,
-                                   skip_indices=skip_indices)
-
-    def fault_injector_swifi_runtime(self, campaign, sink=None, control=None,
-                                     _fixed_plans=None, skip_indices=None):
-        """Runtime SWIFI (Section 4 extension): the workload is
-        instrumented with additional software for injecting faults."""
-        return self._campaign_loop(campaign, sink, control,
-                                   _fixed_plans=_fixed_plans,
-                                   skip_indices=skip_indices)
-
-    def fault_injector_simfi(self, campaign, sink=None, control=None,
-                             _fixed_plans=None, skip_indices=None):
-        """Simulation-based FI baseline (MEFISTO-style): direct state
-        access, no scan-chain serialization."""
-        return self._campaign_loop(campaign, sink, control,
-                                   _fixed_plans=_fixed_plans,
-                                   skip_indices=skip_indices)
-
-    def fault_injector_pinlevel(self, campaign, sink=None, control=None,
-                                _fixed_plans=None, skip_indices=None):
-        """Pin-level fault injection through boundary scan: stop at the
-        injection instant, arm EXTEST forcing of the selected bus lines,
-        resume — the forced lines corrupt the next read transactions."""
-        return self._campaign_loop(campaign, sink, control,
-                                   _fixed_plans=_fixed_plans,
-                                   skip_indices=skip_indices)
-
     # ------------------------------------------------------------------
     # Reentrant single-experiment building block
     # ------------------------------------------------------------------
 
     def prepare_run(self, campaign, golden=None) -> ReferenceRun:
         """Bind ``campaign`` and perform the reference run — everything a
-        runner (serial loop, parallel worker, re-run helper) needs before
+        runner (campaign loop, parallel worker, re-run helper) needs before
         it can call :meth:`run_single_experiment`. Returns the reference
         run (also retained on the instance for budget derivation).
 
@@ -836,7 +789,7 @@ class FaultInjectionAlgorithms(abc.ABC):
         campaign skip the reference run entirely."""
         self.read_campaign_data(campaign)
         cache = self.golden_cache
-        key = None
+        key: Optional[str] = None
         if golden is not None or cache is not None:
             from repro.core.goldencache import campaign_golden_key
 
@@ -848,13 +801,13 @@ class FaultInjectionAlgorithms(abc.ABC):
         if golden is not None and self._adopt_golden(golden, key):
             if obs.metrics.enabled:
                 obs.metrics.counter("goldencache.shared_hits").inc()
-            return self._reference
+            return golden.reference
         if cache is not None:
             cached = cache.load(key)
             if cached is not None and self._adopt_golden(cached, key):
                 if obs.metrics.enabled:
                     obs.metrics.counter("goldencache.hits").inc()
-                return self._reference
+                return cached.reference
             if obs.metrics.enabled:
                 obs.metrics.counter("goldencache.misses").inc()
         reference = self.make_reference_run()
@@ -958,7 +911,11 @@ class FaultInjectionAlgorithms(abc.ABC):
 
     def run_campaign(self, campaign, sink=None, control=None,
                      skip_indices=None):
-        """Dispatch to the technique the campaign selected.
+        """Run ``campaign`` on this port, one experiment after another:
+        the campaign loop of :mod:`repro.core.parallel` with a single
+        in-process worker. Results land in ``sink`` (an in-memory list
+        by default), which is returned; ``control`` receives the
+        ``checkpoint``/``report`` hooks of the progress window.
 
         ``skip_indices`` supports resuming an interrupted campaign:
         experiments whose index is in the set are not re-run (their
@@ -966,9 +923,12 @@ class FaultInjectionAlgorithms(abc.ABC):
         its fault from an index-keyed RNG substream, the remaining
         experiments inject exactly what they would have in the original
         run."""
-        method = getattr(self, self.TECHNIQUE_METHODS[campaign.technique])
-        return method(campaign, sink=sink, control=control,
-                      skip_indices=skip_indices)
+        from repro.core.parallel import ParallelConfig, _ParallelRun
+
+        run = _ParallelRun(
+            campaign, self, sink, control, ParallelConfig(), skip_indices
+        )
+        return run.execute()
 
     # ------------------------------------------------------------------
     # Fault-list preview (set-up phase aid)
@@ -1024,30 +984,10 @@ class FaultInjectionAlgorithms(abc.ABC):
         detail_campaign = campaign.modified(logging_mode=logging_mode)
         parent_name = self.experiment_name(campaign.campaign_name, index)
         sink = sink if sink is not None else _ListSink()
-        self.read_campaign_data(detail_campaign)
-        reference = self.make_reference_run()
+        reference = self.prepare_run(detail_campaign)
         sink.log_reference(detail_campaign, reference)
-        plan = self.plan_experiment(index, reference)
-        runner = {
-            "scifi": self.fault_injector_scifi,
-            "swifi-pre": self.fault_injector_swifi_pre,
-            "swifi-runtime": self.fault_injector_swifi_runtime,
-            "simfi": self.fault_injector_simfi,
-            "pinlevel": self.fault_injector_pinlevel,
-        }
-        # Run just this one experiment through the technique's inner
-        # experiment procedure by making a single-experiment campaign and
-        # reusing the substream of the original index so the same fault is
-        # injected.
-        single = detail_campaign.modified(n_experiments=1)
-        outer = runner[single.technique]
-        results = outer(
-            single,
-            sink=_ListSink(),
-            control=None,
-            _fixed_plans={0: plan},
-        )
-        result = results.results[0]
+        # The original index's substream draws the same fault again.
+        result = self.run_single_experiment(index)
         result.name = f"{parent_name}-rerun"
         result.parent_experiment = parent_name
         sink.log_experiment(detail_campaign, result)
@@ -1150,6 +1090,7 @@ class FaultInjectionAlgorithms(abc.ABC):
         table: Optional[StateTable] = None
         probed: List[str] = []
         if termination is None and probing:
+            assert self._reference is not None
             table = self._state_table()
             window = run_window(self, plan, self._reference, table)
             probed = window.probed
@@ -1223,88 +1164,6 @@ class FaultInjectionAlgorithms(abc.ABC):
         if index is None:
             return None
         return store.tick(index).fingerprint
-
-    def _campaign_loop(self, campaign, sink, control,
-                       _fixed_plans: Optional[dict] = None,
-                       skip_indices=None):
-        sink = sink if sink is not None else _ListSink()
-        control = control if control is not None else _NullControl()
-        skip = frozenset(skip_indices or ())
-        obs = get_observability()
-        with obs.profile(
-            "campaign",
-            campaign=campaign.campaign_name,
-            technique=campaign.technique,
-            n_experiments=campaign.n_experiments,
-            mode="serial",
-        ):
-            reference = self.prepare_run(campaign)
-            sink.log_reference(campaign, reference)
-            plans: Optional[Dict[int, InjectionPlan]] = None
-            derived_of: Dict[int, int] = {}
-            # Representative results retained only while derived members
-            # of their class are still pending (bounded memory).
-            rep_results: Dict[int, ExperimentResult] = {}
-            pending: Dict[int, int] = {}
-            if self._collapse_enabled(campaign):
-                plans = {}
-                for index in range(campaign.n_experiments):
-                    if index in skip:
-                        continue
-                    fixed = (
-                        _fixed_plans.get(index)
-                        if _fixed_plans is not None
-                        else None
-                    )
-                    plans[index] = (
-                        fixed
-                        if fixed is not None
-                        else self.plan_experiment(index, reference)
-                    )
-                partition = self._equivalence.partition(plans)
-                self._record_partition_metrics(partition)
-                derived_of = partition.derived_map()
-                for rep in derived_of.values():
-                    pending[rep] = pending.get(rep, 0) + 1
-            for index in range(campaign.n_experiments):
-                if index in skip:
-                    continue
-                try:
-                    control.checkpoint(index)
-                except StopCampaign:
-                    break
-                rep = derived_of.get(index)
-                if rep is not None and rep in rep_results:
-                    assert plans is not None
-                    result = self._derive_result(
-                        index, plans[index], rep_results[rep]
-                    )
-                    if self._should_verify(index):
-                        self._verify_derived(
-                            index, plans[index], result, reference
-                        )
-                    pending[rep] -= 1
-                    if pending[rep] == 0:
-                        del rep_results[rep]
-                else:
-                    # Representatives, singletons, and members whose
-                    # representative did not run (resumed campaigns can
-                    # skip it) execute for real.
-                    if plans is not None:
-                        plan: Optional[InjectionPlan] = plans[index]
-                    elif _fixed_plans is not None:
-                        plan = _fixed_plans.get(index)
-                    else:
-                        plan = None
-                    result = self.run_single_experiment(
-                        index, plan=plan, reference=reference
-                    )
-                    if pending.get(index):
-                        rep_results[index] = result
-                sink.log_experiment(campaign, result)
-                control.report(index, result)
-        obs.flush()
-        return sink
 
     # ------------------------------------------------------------------
     # Equivalence collapsing (preinjection_mode="equivalence")
@@ -1380,21 +1239,6 @@ class FaultInjectionAlgorithms(abc.ABC):
             random.Random(f"{campaign.seed}:verify:{index}").random()
             < fraction
         )
-
-    def _verify_derived(
-        self,
-        index: int,
-        plan: InjectionPlan,
-        derived: ExperimentResult,
-        reference: ReferenceRun,
-    ) -> None:
-        """Force-execute a derived member and hard-fail on divergence.
-        The memo is bypassed: replaying a memoized outcome would compare
-        a copy against a copy and verify nothing."""
-        actual = self.run_single_experiment(
-            index, plan=plan, reference=reference, use_memo=False
-        )
-        self.check_derived_outcome(index, actual, derived)
 
     def check_derived_outcome(
         self,

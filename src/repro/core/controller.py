@@ -18,9 +18,10 @@ the operator left the campaign paused.
 Execution is pluggable: :meth:`run` owns state transitions (including the
 ``"failed"`` state when the algorithm raises) and resume bookkeeping,
 while the actual experiment loop lives in :meth:`_execute`. The serial
-controller delegates to the algorithm's campaign loop; the parallel
-controller in :mod:`repro.core.parallel` overrides ``_execute`` with a
-multiprocessing pool while inheriting every Figure-7 affordance.
+controller delegates to the algorithm's ``run_campaign`` (the campaign
+loop of :mod:`repro.core.parallel` with one in-process worker); the
+parallel controller there overrides ``_execute`` with a multiprocessing
+pool on the same loop while inheriting every Figure-7 affordance.
 """
 
 from __future__ import annotations
@@ -119,6 +120,12 @@ class CampaignController:
     # -- run control (the progress-window buttons) ------------------------------
 
     def pause(self) -> None:
+        """Pause the campaign at the next checkpoint.
+
+        A no-op after :meth:`stop`, like :meth:`resume`: the campaign
+        is ending, and pausing must not flip the state to ``"paused"``."""
+        if self._stop_requested:
+            return
         self._resume_event.clear()
         self.progress.state = "paused"
         self.health.notify_paused()

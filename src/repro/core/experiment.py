@@ -9,9 +9,12 @@ in the paper's terms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.locations import FaultLocation
+
+if TYPE_CHECKING:
+    from repro.core.trace import Trace
 
 
 @dataclass(frozen=True)
@@ -86,7 +89,7 @@ class ReferenceRun:
     termination: Termination
     state_vector: StateVector
     outputs: Dict[str, int]
-    trace: Optional[object] = None  # core.trace.Trace when collected
+    trace: Optional[Trace] = None
     detail_states: List[StateVector] = field(default_factory=list)
 
 

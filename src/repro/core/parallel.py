@@ -24,7 +24,11 @@ process runs it or in which order. This module exploits that:
   pause/resume/end, and resume-from-sink via ``completed_indices``;
 * the parent lands results in the sink through the batched path
   (:meth:`repro.db.database.GoofiDatabase.log_experiments` — one
-  ``executemany`` + one commit per batch, WAL mode for file databases).
+  ``executemany`` + one commit per batch, WAL mode for file databases);
+* this is the only campaign loop: a serial campaign
+  (:meth:`~repro.core.algorithms.FaultInjectionAlgorithms.run_campaign`)
+  runs on it with one :class:`InProcessWorkerHandle` that executes each
+  shard on the caller's own port.
 
 Determinism contract: given the same campaign (name, seed, workload,
 locations, fault model, trigger) and a deterministic port, the *set* of
@@ -36,13 +40,14 @@ fingerprint against its own and refuses to proceed on mismatch.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import time
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection as _mpc
-from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Container, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.algorithms import (
     FaultInjectionAlgorithms,
@@ -69,6 +74,7 @@ from repro.observability.health import (
 from repro.util.errors import CampaignError
 
 __all__ = [
+    "InProcessWorkerHandle",
     "LocalWorkerHandle",
     "ParallelConfig",
     "ParallelCampaignController",
@@ -104,13 +110,6 @@ class ParallelConfig:
     #: metric deltas). ``None`` inherits the process-global configuration
     #: (:func:`repro.observability.current_config`).
     observability: Optional[ObservabilityConfig] = None
-    #: Ship the parent's golden run (reference + checkpoint store) to
-    #: every worker so workers skip their per-process reference
-    #: execution. Serialised once in the parent (free under ``fork``:
-    #: copy-on-write). Disable to force each worker to redo its own
-    #: reference run (restores the per-worker determinism fingerprint
-    #: check as an end-to-end test of the port).
-    share_golden: bool = True
     #: Directory for the on-disk golden-run cache
     #: (:class:`repro.core.goldencache.GoldenRunCache`): the parent's
     #: reference run is loaded from / stored to it, keyed by the
@@ -128,12 +127,6 @@ class ParallelConfig:
     #: cache, so a class of identical faults executes once campaign-wide
     #: rather than once per worker.
     early_exit: bool = True
-    #: Pluggable worker construction: a callable with
-    #: :class:`LocalWorkerHandle`'s signature returning a
-    #: :class:`WorkerHandle`. ``None`` builds local worker processes;
-    #: the campaign fabric's socket-attached remote workers land behind
-    #: this seam without the event loop noticing.
-    handle_factory: Optional[Any] = None
 
     def validate(self) -> None:
         if self.n_workers < 1:
@@ -173,6 +166,16 @@ def _reference_fingerprint(reference: Any) -> Tuple[int, int, str]:
     )
 
 
+def _run_experiment(
+    port: FaultInjectionAlgorithms, index: int, verify: Container[int]
+) -> ExperimentResult:
+    """Run experiment ``index`` on ``port``. Members of ``verify``
+    bypass the outcome memo: a replayed copy would verify nothing."""
+    if index in verify:
+        return port.run_single_experiment(index, use_memo=False)
+    return port.run_single_experiment(index)
+
+
 def _worker_main(
     conn: Any,
     factory: Any,
@@ -186,8 +189,10 @@ def _worker_main(
 
     Builds an isolated port via ``factory``, binds the campaign, performs
     its own reference run (announced as a determinism fingerprint), then
-    serves ``("run", [indices])`` / ``("run", [indices], memo_rows)``
-    task messages until ``("quit",)``. ``port_options`` are plain
+    serves ``("run", [indices], memo_rows, [verify])`` task messages
+    until ``("quit",)``; the ``verify`` indices run with the outcome
+    memo bypassed (see :meth:`FaultInjectionAlgorithms.
+    run_single_experiment`). ``port_options`` are plain
     attribute overrides applied to the fresh port before the campaign
     binds (``early_exit``/``memoize`` — the knobs that live on the
     instance rather than in CampaignData).
@@ -214,12 +219,13 @@ def _worker_main(
             if message[0] == "quit":
                 break
             assert message[0] == "run"
+            _, indices, memo_rows, verify = message
             memo = port._memo_table()
-            if memo is not None and len(message) > 2 and message[2]:
-                memo.merge(message[2])
-            for index in message[1]:
+            if memo is not None and memo_rows:
+                memo.merge(memo_rows)
+            for index in indices:
                 try:
-                    result = port.run_single_experiment(index)
+                    result = _run_experiment(port, index, verify)
                     conn.send(("result", index, result))
                 except Exception as exc:  # reported upstream as an error
                     conn.send(
@@ -261,10 +267,9 @@ class WorkerHandle:
     tracking, quit requests); transports implement the three lifecycle
     hooks — :meth:`alive`, :meth:`join` and :meth:`_terminate` — plus a
     constructor that sets :attr:`conn`. :class:`LocalWorkerHandle`
-    backs the handle with a forked/spawned process and a pipe; a
-    socket-attached remote worker implements the same contract over a
-    ``multiprocessing.connection.Client`` connection and plugs in via
-    :attr:`ParallelConfig.handle_factory` — the event loop cannot tell
+    backs the handle with a forked/spawned process and a pipe;
+    :class:`InProcessWorkerHandle` runs shards synchronously on the
+    caller's own port (serial campaigns) — the event loop cannot tell
     the difference."""
 
     #: Duplex connection speaking the worker protocol (must support
@@ -288,15 +293,27 @@ class WorkerHandle:
     def idle(self) -> bool:
         return self.ready and not self.dead and not self.busy
 
+    @staticmethod
+    def wait(
+        handles: List["WorkerHandle"], timeout: float
+    ) -> List["WorkerHandle"]:
+        """The handles with a message to receive, waiting up to
+        ``timeout`` seconds for the first one."""
+        ready = _mpc.wait([handle.conn for handle in handles], timeout)
+        return [handle for handle in handles if handle.conn in ready]
+
     def dispatch(
         self,
         indices: Sequence[int],
         timeout: Optional[float],
         memo_rows: Optional[List[Dict[str, Any]]] = None,
+        verify: Sequence[int] = (),
     ) -> None:
+        """Send one shard; ``verify`` names its indices that must run
+        with the outcome memo bypassed."""
         self.busy = True
         self.shard = deque(indices)
-        self.conn.send(("run", list(indices), memo_rows or []))
+        self.conn.send(("run", list(indices), memo_rows or [], list(verify)))
         self.touch(timeout)
 
     def touch(self, timeout: Optional[float]) -> None:
@@ -386,27 +403,84 @@ class LocalWorkerHandle(WorkerHandle):
         self.process.join(timeout=5.0)
 
 
-#: Backwards-compatible alias (pre-fabric name).
-_WorkerHandle = LocalWorkerHandle
+class InProcessWorkerHandle(WorkerHandle):
+    """A :class:`WorkerHandle` whose worker is the caller's own port:
+    how serial campaigns run on the shared event loop.
+
+    The handle is its own ``conn``. Each :meth:`recv` runs the shard's
+    next experiment on the port and returns its result; an empty shard
+    answers ``"done"``. Nothing is piped or pickled. The port is the
+    parent's own, so there is no golden-run bundle, memo relay or
+    fingerprint check, and there is no watchdog or retry: an exception
+    raised by an experiment propagates out of the loop."""
+
+    def __init__(self, port: FaultInjectionAlgorithms, worker_id: int = 0):
+        super().__init__(worker_id)
+        self.conn = self
+        self.port = port
+        self.ready = True
+        self._verify: Set[int] = set()
+
+    @staticmethod
+    def wait(
+        handles: List["WorkerHandle"], timeout: float
+    ) -> List["WorkerHandle"]:
+        # Never blocks: a busy handle makes its next message on receipt.
+        return [handle for handle in handles if handle.busy]
+
+    def send(self, message: Tuple) -> None:
+        if message[0] == "run":
+            self._verify = set(message[3])
+
+    def recv(self) -> Tuple:
+        if not self.shard:
+            return ("done", None, [])
+        index = self.shard[0]
+        return ("result", index, _run_experiment(self.port, index, self._verify))
+
+    def poll(self, timeout: float = 0.0) -> bool:
+        # Nothing ever waits here: recv() runs the experiment it returns.
+        return False
+
+    def close(self) -> None:
+        pass
+
+    def touch(self, timeout: Optional[float]) -> None:
+        pass  # no watchdog: the deadline stays None
+
+    def alive(self) -> bool:
+        return True
+
+    def join(self, timeout: Optional[float] = None) -> None:
+        pass
+
+    def _terminate(self) -> None:
+        pass
 
 
 class _ParallelRun:
-    """One parallel campaign execution (the parent event loop)."""
+    """One campaign execution (the parent event loop) — the only
+    campaign loop. Parallel and fabric runs drive it with worker
+    processes built from ``factory``; serial runs pass no factory and
+    drive it with one :class:`InProcessWorkerHandle` on ``port``."""
 
     def __init__(
         self,
         campaign: CampaignData,
-        factory: Any,
+        port: FaultInjectionAlgorithms,
         sink: Any,
         control: Any,
         config: ParallelConfig,
         skip_indices: Optional[Set[int]],
+        factory: Any = None,
     ) -> None:
-        config.validate()
         self.campaign = campaign
+        #: The parent's port: reference run, plan/derive/verify helpers
+        #: and, for serial runs, every experiment.
+        self.port = port
         self.factory = factory
-        self.sink = sink
-        self.control = control
+        self.sink = sink if sink is not None else _ListSink()
+        self.control = control if control is not None else _NullControl()
         self.config = config
         skip = frozenset(skip_indices or ())
         #: Index order in which results are reported and logged — the same
@@ -424,8 +498,6 @@ class _ParallelRun:
         self.retries: Dict[int, int] = {}
         self.completed: Dict[int, ExperimentResult] = {}
         # -- equivalence collapsing (preinjection_mode="equivalence") --
-        #: Parent port retained for plan/derive/verify helpers.
-        self.port: Optional[FaultInjectionAlgorithms] = None
         #: index -> InjectionPlan for every index in ``order``.
         self.plans: Optional[Dict[int, Any]] = None
         #: representative index -> its derived member indices.
@@ -441,18 +513,19 @@ class _ParallelRun:
         self.reported = 0
         self.batch: List[ExperimentResult] = []
         self.workers: List[WorkerHandle] = []
+        #: Builds the handle of a new worker id (chosen at run start).
+        self._new_handle: Any = None
         self.fingerprint: Optional[Tuple[int, int, str]] = None
         self.campaign_json = ""
-        #: Parent golden-run bundle shipped to workers (share_golden).
+        #: Parent golden-run bundle shipped to worker processes.
         self.golden: Any = None
         #: Campaign-wide outcome memo relay: worker recordings merge in
         #: via "done" messages; :meth:`_memo_rows_for` forwards the
         #: global insertion order to each worker through a per-worker
         #: cursor, so every worker eventually sees every entry exactly
-        #: once. None when early-exit/memoization is off.
-        self.memo: Optional[OutcomeMemo] = (
-            OutcomeMemo() if config.early_exit else None
-        )
+        #: once. None when early-exit/memoization is off, and for
+        #: serial runs (their port keeps its own memo).
+        self.memo: Optional[OutcomeMemo] = None
         #: worker_id -> how far into the memo's insertion order that
         #: worker has been forwarded.
         self._memo_cursors: Dict[int, int] = {}
@@ -466,9 +539,9 @@ class _ParallelRun:
         self._next_worker_id = 0
         # Health monitoring: reuse the controller's monitor when running
         # under a CampaignController (it already called begin()); as a
-        # bare run_parallel_campaign with observability on, install a
-        # fresh one so the exporter's /healthz still has live state.
-        health = getattr(control, "health", None)
+        # bare run with observability on, install a fresh one so the
+        # exporter's /healthz still has live state.
+        health = getattr(self.control, "health", None)
         #: True when this run created the monitor itself (bare
         #: run_parallel_campaign); the run then also feeds results into
         #: it — under a controller, ``control.report`` already does.
@@ -495,57 +568,33 @@ class _ParallelRun:
             campaign=self.campaign.campaign_name,
             technique=self.campaign.technique,
             n_experiments=self.campaign.n_experiments,
-            mode="parallel",
-            n_workers=self.config.n_workers,
+            mode="serial" if self.factory is None else "parallel",
         ):
             self._execute_inner()
         self.obs.flush()
         return self.sink
 
     def _execute_inner(self) -> None:
-        parent_port = self.factory()
-        if not isinstance(parent_port, FaultInjectionAlgorithms):
-            raise CampaignError(
-                "worker factory must build a FaultInjectionAlgorithms port"
-            )
-        if self.config.golden_cache_dir is not None:
-            from repro.core.goldencache import GoldenRunCache
-
-            parent_port.golden_cache = GoldenRunCache(
-                self.config.golden_cache_dir
-            )
-        reference = parent_port.prepare_run(self.campaign)
-        self.fingerprint = _reference_fingerprint(reference)
+        reference = self.port.prepare_run(self.campaign)
         self.sink.log_reference(self.campaign, reference)
-        if self.config.share_golden:
-            # Bundle the parent's golden run (reference + checkpoint
-            # store) once; every worker adopts it instead of redoing the
-            # reference execution. Built after prepare_run so a
-            # disk-cache hit is forwarded too.
-            from repro.core.goldencache import GoldenRun, campaign_golden_key
-
-            self.golden = GoldenRun(
-                config_hash=campaign_golden_key(self.campaign),
-                target_name=self.campaign.target_name,
-                reference=reference,
-                checkpoints=parent_port._checkpoints,
-            )
-        # Serialise *after* prepare_run: campaign binding resolves
-        # trigger addresses and iteration limits that workers must share.
-        self.campaign_json = self.campaign.to_json()
-        self._prepare_equivalence(parent_port, reference)
+        self._prepare_equivalence(reference)
         if not self.order:
             return
-        n_workers = min(self.config.n_workers, len(self.order))
+        if self.factory is None:
+            # Serial: the caller's own port runs every shard in-process.
+            n_workers = 1
+            self._new_handle = functools.partial(
+                InProcessWorkerHandle, self.port
+            )
+        else:
+            n_workers = min(self.config.n_workers, len(self.order))
+            self._share_with_workers(reference)
         self._set_progress_workers(n_workers)
-        context = self.config.context()
         # Flush the parent's trace buffer before forking: a child must
         # not inherit (and later flush) buffered parent records.
         self.obs.flush()
         try:
-            self.workers = [
-                self._spawn_worker(context) for _ in range(n_workers)
-            ]
+            self.workers = [self._spawn_worker() for _ in range(n_workers)]
             try:
                 self._event_loop()
                 self._await_worker_done()
@@ -555,9 +604,31 @@ class _ParallelRun:
             self._flush_ordered(final=True)
             self._shutdown()
 
-    def _prepare_equivalence(
-        self, parent_port: FaultInjectionAlgorithms, reference: Any
-    ) -> None:
+    def _share_with_workers(self, reference: Any) -> None:
+        """Set up what worker processes share with the parent: the
+        golden run, the campaign, the memo relay and the reference
+        fingerprint every worker must report."""
+        from repro.core.goldencache import GoldenRun, campaign_golden_key
+
+        self.fingerprint = _reference_fingerprint(reference)
+        # Bundle the parent's golden run (reference + checkpoint store)
+        # once; every worker adopts it instead of redoing the reference
+        # execution. Built after prepare_run so a disk-cache hit is
+        # forwarded too.
+        self.golden = GoldenRun(
+            config_hash=campaign_golden_key(self.campaign),
+            target_name=self.campaign.target_name,
+            reference=reference,
+            checkpoints=self.port._checkpoints,
+        )
+        # Serialise *after* prepare_run: campaign binding resolves
+        # trigger addresses and iteration limits that workers must share.
+        self.campaign_json = self.campaign.to_json()
+        if self.port.memoize:
+            self.memo = OutcomeMemo()
+        self._new_handle = self._local_handle
+
+    def _prepare_equivalence(self, reference: Any) -> None:
         """Partition the fault list and rebuild the dispatch queue as
         class units.
 
@@ -567,19 +638,15 @@ class _ParallelRun:
         *execute* — the representative plus any verify-sampled members.
         The remaining members' results are synthesized in the parent as
         each representative's result arrives."""
-        self.port = parent_port
-        parent_port.verify_equivalence = self.config.verify_equivalence
-        parent_port.early_exit = self.config.early_exit
-        parent_port.memoize = self.config.early_exit
-        if not parent_port._collapse_enabled(self.campaign):
+        port = self.port
+        if not port._collapse_enabled(self.campaign):
             return
-        equivalence = parent_port._equivalence
         plans = {
-            index: parent_port.plan_experiment(index, reference)
+            index: port.plan_experiment(index, reference)
             for index in self.order
         }
-        partition = equivalence.partition(plans)
-        parent_port._record_partition_metrics(partition)
+        partition = port._equivalence.partition(plans)
+        port._record_partition_metrics(partition)
         self.plans = plans
         units: List[List[int]] = []
         for cls in partition.classes:
@@ -587,7 +654,7 @@ class _ParallelRun:
             derived_members: List[int] = []
             for member in cls.members[1:]:
                 derived_members.append(member)
-                if parent_port._should_verify(member):
+                if port._should_verify(member):
                     self._verify_members[member] = cls.representative
                     unit.append(member)
             if derived_members:
@@ -611,7 +678,7 @@ class _ParallelRun:
                 # the shard) — park the real result until it is.
                 self._verify_actual[index] = result
                 return
-            self._check_verified(index, result, derived)
+            self.port.check_derived_outcome(index, result, derived)
             self.completed[index] = derived
             return
         self.completed[index] = result
@@ -621,7 +688,7 @@ class _ParallelRun:
     def _synthesize_class(
         self, rep: int, rep_result: ExperimentResult
     ) -> None:
-        assert self.port is not None and self.plans is not None
+        assert self.plans is not None
         for member in self._class_derived.get(rep, []):
             derived = self.port._derive_result(
                 member, self.plans[member], rep_result
@@ -629,7 +696,7 @@ class _ParallelRun:
             if member in self._verify_members:
                 actual = self._verify_actual.pop(member, None)
                 if actual is not None:
-                    self._check_verified(member, actual, derived)
+                    self.port.check_derived_outcome(member, actual, derived)
                     self.completed[member] = derived
                 elif member not in self.completed:
                     self._derived_results[member] = derived
@@ -637,15 +704,6 @@ class _ParallelRun:
                 # real execution; the failure placeholder stands.
             else:
                 self.completed[member] = derived
-
-    def _check_verified(
-        self,
-        index: int,
-        actual: ExperimentResult,
-        derived: ExperimentResult,
-    ) -> None:
-        assert self.port is not None
-        self.port.check_derived_outcome(index, actual, derived)
 
     def _handle_rep_failure(self, rep: int) -> None:
         """A class representative exhausted its retries: its members can
@@ -665,21 +723,23 @@ class _ParallelRun:
             else:
                 self.queue.append([member])
 
-    def _spawn_worker(self, context: Any) -> WorkerHandle:
+    def _spawn_worker(self) -> WorkerHandle:
         worker_id = self._next_worker_id
         self._next_worker_id += 1
         self.obs.tracer.event("worker-spawn", worker=worker_id)
-        handle_factory = self.config.handle_factory or LocalWorkerHandle
-        return handle_factory(
-            context,
+        return self._new_handle(worker_id)
+
+    def _local_handle(self, worker_id: int) -> LocalWorkerHandle:
+        return LocalWorkerHandle(
+            self.config.context(),
             self.factory,
             self.campaign_json,
             worker_id=worker_id,
             obs_config=self.obs_config,
             golden=self.golden,
             port_options={
-                "early_exit": self.config.early_exit,
-                "memoize": self.config.early_exit,
+                "early_exit": self.port.early_exit,
+                "memoize": self.port.memoize,
             },
         )
 
@@ -715,16 +775,19 @@ class _ParallelRun:
 
     def _wait_while_paused(self) -> None:
         """Cooperative pause: stop dispatching and reporting, but keep
-        draining worker pipes so in-flight shards cannot back up. Pause
-        time is credited back to the controller so it never pollutes the
-        throughput figure."""
+        draining worker pipes so in-flight shards cannot back up. Only
+        messages already sent are received, so an in-process worker
+        runs nothing while paused. Pause time is credited back to the
+        controller so it never pollutes the throughput figure."""
         if not bool(getattr(self.control, "paused", False)):
             self._checkpoint()
             return
         pause_started = time.perf_counter()
         try:
             while bool(getattr(self.control, "paused", False)):
-                self._pump_messages()
+                for worker in self.workers:
+                    if not worker.dead and worker.conn.poll(0):
+                        self._receive(worker)
                 time.sleep(_POLL_SECONDS)
         finally:
             add_pause = getattr(self.control, "add_pause_time", None)
@@ -751,6 +814,7 @@ class _ParallelRun:
                 shard,
                 self.config.timeout_seconds,
                 memo_rows=self._memo_rows_for(worker),
+                verify=[i for i in shard if i in self._verify_members],
             )
 
     def _memo_rows_for(
@@ -780,26 +844,21 @@ class _ParallelRun:
         return shard
 
     def _pump_messages(self) -> None:
-        conns = [worker.conn for worker in self.workers if not worker.dead]
-        if not conns:
+        live = [worker for worker in self.workers if not worker.dead]
+        if not live:
             time.sleep(_POLL_SECONDS)
             return
-        for conn in _mpc.wait(conns, timeout=_POLL_SECONDS):
-            worker = self._worker_for(conn)
-            if worker is None:
-                continue
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                self._handle_worker_death(worker, "worker process crashed")
-                continue
-            self._handle_message(worker, message)
+        # A run's handles share one transport, hence one wait.
+        for worker in live[0].wait(live, _POLL_SECONDS):
+            self._receive(worker)
 
-    def _worker_for(self, conn: Any) -> Optional[WorkerHandle]:
-        for worker in self.workers:
-            if worker.conn is conn:
-                return worker
-        return None
+    def _receive(self, worker: WorkerHandle) -> None:
+        try:
+            message = worker.conn.recv()
+        except (EOFError, OSError):
+            self._handle_worker_death(worker, "worker process crashed")
+            return
+        self._handle_message(worker, message)
 
     def _handle_message(self, worker: WorkerHandle, message: Tuple) -> None:
         kind = message[0]
@@ -903,7 +962,7 @@ class _ParallelRun:
 
     def _respawn(self) -> WorkerHandle:
         self.obs.metrics.counter("parallel.respawns_total").inc()
-        return self._spawn_worker(self.config.context())
+        return self._spawn_worker()
 
     def _record_failure(self, index: int, reason: str) -> None:
         attempts = self.retries.get(index, 0)
@@ -1048,16 +1107,26 @@ def run_parallel_campaign(
     same sink protocol, same control hooks (``checkpoint`` / ``report``),
     same ``skip_indices`` resume contract, same return value. ``factory``
     must be a picklable zero-argument callable building a fresh port —
-    use :func:`repro.core.framework.worker_factory`."""
-    sink = sink if sink is not None else _ListSink()
-    control = control if control is not None else _NullControl()
+    use :func:`repro.core.framework.worker_factory`. The parent builds
+    one port from it too (reference run, planning, derivation) and
+    copies the config's port knobs onto it; workers take theirs from
+    the parent's port."""
+    config = config if config is not None else ParallelConfig()
+    config.validate()
+    port = factory()
+    if not isinstance(port, FaultInjectionAlgorithms):
+        raise CampaignError(
+            "worker factory must build a FaultInjectionAlgorithms port"
+        )
+    port.verify_equivalence = config.verify_equivalence
+    port.early_exit = config.early_exit
+    port.memoize = config.early_exit
+    if config.golden_cache_dir is not None:
+        from repro.core.goldencache import GoldenRunCache
+
+        port.golden_cache = GoldenRunCache(config.golden_cache_dir)
     run = _ParallelRun(
-        campaign,
-        factory,
-        sink,
-        control,
-        config if config is not None else ParallelConfig(),
-        skip_indices,
+        campaign, port, sink, control, config, skip_indices, factory
     )
     return run.execute()
 

@@ -238,9 +238,23 @@ class TestRerunProvenance:
             i.time for i in original.injections
         ]
 
+    def test_rerun_makes_one_reference_run(self, thor_target):
+        campaign = make_campaign(n_experiments=3)
+        thor_target.run_campaign(campaign)
+        calls = []
+        make_reference_run = thor_target.make_reference_run
+
+        def spy():
+            calls.append(True)
+            return make_reference_run()
+
+        thor_target.make_reference_run = spy
+        thor_target.rerun_experiment(campaign, 1)
+        assert len(calls) == 1
+
 
 class TestTechniqueTables:
     def test_technique_methods_cover_all(self):
-        assert set(FaultInjectionAlgorithms.TECHNIQUE_METHODS) == set(
+        assert set(FaultInjectionAlgorithms.TECHNIQUE_EXPERIMENTS) == set(
             FaultInjectionAlgorithms.TECHNIQUE_SPACES
         )

@@ -189,6 +189,15 @@ class TestPauseTiming:
         # End button was pressed.
         assert controller.progress.state != "running"
 
+    def test_pause_is_noop_after_stop(self, thor_target):
+        controller, _ = make_controller(thor_target)
+        state = controller.progress.state
+        controller.stop()
+        controller.pause()
+        # pause() must not re-pause a campaign the End button is ending.
+        assert not controller.paused
+        assert controller.progress.state == state
+
     def test_resume_after_stop_still_stops_campaign(self, thor_target):
         controller, campaign = make_controller(thor_target, n_experiments=30)
 

@@ -436,6 +436,67 @@ class TestParallelMemoSharing:
         parallel_rows = _rows(sink)
         assert sorted(parallel_rows) == sorted(serial_rows)
 
+    def test_verify_derived_bypasses_memo_on_both_executors(
+        self, tmp_path, monkeypatch
+    ):
+        """test_verify_derived_bypasses_memo on both executors: the
+        serial run and 2 forked workers run every verify member with
+        the memo bypassed."""
+        from repro.core.framework import worker_factory
+        from repro.core.parallel import ParallelConfig, run_parallel_campaign
+        from repro.scifi.interface import ThorRDInterface
+
+        calls = tmp_path / "calls.log"
+        run = ThorRDInterface.run_single_experiment
+
+        def spy(self, index, plan=None, reference=None, use_memo=True):
+            with open(calls, "a") as handle:
+                handle.write(f"{index} {int(use_memo)}\n")
+            return run(self, index, plan, reference, use_memo)
+
+        # On the class, so the forked workers inherit the spy.
+        monkeypatch.setattr(ThorRDInterface, "run_single_experiment", spy)
+        campaign = make_campaign(
+            campaign_name="memo-verify-par",
+            preinjection_mode="equivalence",
+            location_patterns=[
+                "scan:internal/cpu.regfile.r5",
+                "scan:internal/cpu.regfile.r10",
+            ],
+            n_experiments=16,
+        )
+
+        def serial():
+            target = create_target("thor-rd")
+            target.verify_equivalence = 1.0
+            return target.run_campaign(campaign)
+
+        def parallel():
+            return run_parallel_campaign(
+                campaign,
+                worker_factory("thor-rd"),
+                config=ParallelConfig(
+                    n_workers=2,
+                    shard_size=2,
+                    start_method="fork",
+                    verify_equivalence=1.0,
+                ),
+            )
+
+        for execute in (serial, parallel):
+            calls.write_text("")
+            sink = execute()
+            assert len(sink.results) == 16
+            derived = {r.index for r in sink.results if r.derived_from}
+            assert derived, "expected collapsed experiments to verify"
+            executed = [
+                tuple(map(int, line.split()))
+                for line in calls.read_text().splitlines()
+            ]
+            verified = [(i, memo) for i, memo in executed if i in derived]
+            assert {i for i, _ in verified} == derived
+            assert all(memo == 0 for _, memo in verified)
+
     def test_early_exit_off_propagates_to_workers(self):
         from repro.core.framework import worker_factory
         from repro.core.parallel import ParallelConfig, run_parallel_campaign
