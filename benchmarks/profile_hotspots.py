@@ -5,9 +5,12 @@ Profiles one SCIFI campaign split into its three host-side phases —
 reference run (golden trajectory + checkpoint capture), experiment loop
 (inject / run / classify per experiment) and analysis (outcome
 classification over the logged rows) — and writes the top-N functions
-by cumulative time per phase as JSON. The CI benchmarks job runs this
-and uploads the JSON as an artifact, so a perf regression caught by
-``check_regression.py`` comes with the profile that explains it.
+by cumulative time per phase as JSON. The phases do not overlap: the
+experiment loop adopts the reference phase's golden run through a
+temporary golden-run cache instead of repeating the reference run.
+The CI benchmarks job runs this and uploads the JSON as an artifact,
+so a perf regression caught by ``check_regression.py`` comes with the
+profile that explains it.
 
 Usage::
 
@@ -41,6 +44,7 @@ import json
 import pathlib
 import pstats
 import sys
+import tempfile
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
@@ -48,6 +52,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 
 from repro.analysis import classify_campaign  # noqa: E402
 from repro.core import CampaignData, create_target  # noqa: E402
+from repro.core.goldencache import GoldenRunCache  # noqa: E402
 
 
 def _campaign(args: argparse.Namespace) -> CampaignData:
@@ -121,19 +126,32 @@ def main(argv=None) -> int:
 
     phases: dict = {}
 
-    # Phase 1: reference run (golden trajectory, checkpoint capture).
-    reference_target = create_target("thor-rd")
-    _, profiler = _profile(
-        reference_target.prepare_run, _campaign(args)
-    )
-    phases["reference_run"] = _top_functions(profiler, args.top)
+    with tempfile.TemporaryDirectory(prefix="profile-hotspots-") as root:
+        golden_cache = GoldenRunCache(root)
 
-    # Phase 2: the experiment loop, end to end on a fresh target.
-    campaign_target = create_target("thor-rd")
-    sink, profiler = _profile(
-        campaign_target.run_campaign, _campaign(args)
-    )
-    phases["experiments"] = _top_functions(profiler, args.top)
+        # Phase 1: reference run (golden trajectory, checkpoint capture),
+        # stored in a golden-run cache.
+        reference_target = create_target("thor-rd")
+        reference_target.golden_cache = golden_cache
+        _, profiler = _profile(
+            reference_target.prepare_run, _campaign(args)
+        )
+        phases["reference_run"] = _top_functions(profiler, args.top)
+
+        # Phase 2: the experiment loop, end to end on a fresh target that
+        # adopts phase 1's golden run from the cache, so this phase does
+        # not repeat the reference run.
+        campaign_target = create_target("thor-rd")
+        campaign_target.golden_cache = golden_cache
+        sink, profiler = _profile(
+            campaign_target.run_campaign, _campaign(args)
+        )
+        phases["experiments"] = _top_functions(profiler, args.top)
+        if golden_cache.hits != 1:
+            raise RuntimeError(
+                "the experiments phase did not adopt the reference "
+                f"phase's golden run ({golden_cache.hits} cache hits)"
+            )
 
     # Phase 3: outcome classification over the logged rows.
     summary, profiler = _profile(

@@ -1,8 +1,9 @@
 """E18 — simulator-core throughput (vectorized vs reference dispatch).
 
 Regenerates: the acceleration study for the vectorized Thor execution
-core (array-backed memory, shared decode memo, fused per-opcode handler
-dispatch, batched scan shifts, zero-copy checkpoint digests). The same
+core (array-backed memory, shared decode memo, the fused run loop with
+operand-specialised exec entries, batched scan shifts, zero-copy
+checkpoint digests). The same
 chip is driven twice — once with :attr:`repro.thor.cpu.Cpu.
 fast_dispatch` enabled (the default shipping configuration) and once
 bound to the retained reference core (the seed's straight-line

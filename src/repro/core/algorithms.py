@@ -38,6 +38,7 @@ from repro.core.divergence import (
     OutcomeMemo,
     StateOutcome,
     StateTable,
+    in_plan_order,
     memo_key,
     run_window,
 )
@@ -887,6 +888,7 @@ class FaultInjectionAlgorithms(abc.ABC):
                 started = _time.perf_counter()
                 result = self._new_result(index)
                 entry.apply(result)
+                result.injections = in_plan_order(result.injections, plan)
                 result.wall_seconds = _time.perf_counter() - started
                 if obs.metrics.enabled:
                     obs.metrics.counter("divergence.memo_hits").inc()

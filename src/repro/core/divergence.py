@@ -46,8 +46,9 @@ diagnostics) and are disabled by ``goofi run --no-early-exit``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.core.checkpoint import state_digest
 from repro.core.experiment import (
@@ -102,6 +103,28 @@ def plan_delta(plan: Any) -> List[Dict[str, Any]]:
         }
         for action in plan.sorted_actions()
     ]
+
+
+def in_plan_order(injections: List[Injection], plan: Any) -> List[Injection]:
+    """``injections`` reordered to ``plan``'s action and location order.
+
+    The memo key sorts the locations inside an action, so a replayed
+    entry may come from a plan that listed them in another order.
+    Injections are logged per action in location order; this gives the
+    list executing ``plan`` itself would log. Repeats of one location
+    keep their recorded sequence."""
+    recorded: Dict[str, Deque[Injection]] = {}
+    for injection in injections:
+        recorded.setdefault(injection.location.key(), deque()).append(
+            injection
+        )
+    ordered = []
+    for action in plan.sorted_actions():
+        for location in action.locations:
+            pending = recorded.get(location.key())
+            if pending:
+                ordered.append(pending.popleft())
+    return ordered
 
 
 def memo_key(restore_digest: Optional[str], plan: Any) -> str:

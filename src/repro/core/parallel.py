@@ -85,6 +85,11 @@ __all__ = [
 
 #: Poll interval of the parent event loop (also the pause/stop latency).
 _POLL_SECONDS = 0.05
+#: How long the first dispatch waits for every spawned worker to report
+#: ready. Workers start together, but the first one ready would otherwise
+#: take every shard of a short campaign of fast experiments before the
+#: next one has finished starting.
+_START_GRACE_SECONDS = 1.0
 
 
 @dataclass
@@ -537,6 +542,9 @@ class _ParallelRun:
             else current_config()
         )
         self._next_worker_id = 0
+        #: Until this instant (set when the workers spawn), dispatch
+        #: waits for every live worker to report ready; None afterwards.
+        self._start_deadline: Optional[float] = None
         # Health monitoring: reuse the controller's monitor when running
         # under a CampaignController (it already called begin()); as a
         # bare run with observability on, install a fresh one so the
@@ -595,6 +603,7 @@ class _ParallelRun:
         self.obs.flush()
         try:
             self.workers = [self._spawn_worker() for _ in range(n_workers)]
+            self._start_deadline = time.perf_counter() + _START_GRACE_SECONDS
             try:
                 self._event_loop()
                 self._await_worker_done()
@@ -804,6 +813,13 @@ class _ParallelRun:
         self.control.checkpoint(next_index)
 
     def _dispatch_ready(self) -> None:
+        if self._start_deadline is not None:
+            starting = any(
+                not worker.ready and not worker.dead for worker in self.workers
+            )
+            if starting and time.perf_counter() < self._start_deadline:
+                return
+            self._start_deadline = None
         for worker in self.workers:
             if not worker.idle:
                 continue

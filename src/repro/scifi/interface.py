@@ -14,7 +14,7 @@ import hashlib
 import pickle
 import re
 from array import array
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.campaign import CampaignData
 from repro.core.checkpoint import (
@@ -130,6 +130,37 @@ def state_fingerprint(
     return digest.hexdigest()
 
 
+#: Instruction word -> the static part of its trace step: sorted
+#: register reads and writes, flag read/write, branch and call flags.
+#: Cleared when full, like the decode memo.
+_TraceStatic = Tuple[Tuple[int, ...], Tuple[int, ...], bool, bool, bool, bool]
+_TRACE_STATIC: Dict[int, _TraceStatic] = {}
+_TRACE_STATIC_MAX = 1 << 16
+
+
+def _trace_static(word: int) -> _TraceStatic:
+    static = _TRACE_STATIC.get(word)
+    if static is not None:
+        return static
+    instr = try_decode(word)
+    if instr is None:
+        static = ((), (), False, False, False, False)
+    else:
+        effects = register_effects(instr)
+        static = (
+            tuple(sorted(effects.reg_reads)),
+            tuple(sorted(effects.reg_writes)),
+            effects.reads_flags,
+            effects.writes_flags,
+            instr.opcode in isa.BRANCHES,
+            instr.opcode is Opcode.CALL,
+        )
+    if len(_TRACE_STATIC) >= _TRACE_STATIC_MAX:
+        _TRACE_STATIC.clear()
+    _TRACE_STATIC[word] = static
+    return static
+
+
 def _termination_from_event(event: DebugEvent) -> Termination:
     if event.kind is DebugEventKind.HALT:
         return Termination(kind="halt", pc=event.pc, cycle=event.cycle,
@@ -180,7 +211,9 @@ class ThorRDInterface(Framework):
         # Golden-run checkpoint capture state (reference run only).
         self._checkpointing = False
         self._checkpoint_pages: Set[int] = set()
-        self.card.on_step = self._dispatch_step
+        # The per-instruction step hook is installed only while
+        # something listens (see _update_step_hook): without it the card
+        # runs the CPU's fused loop straight to the next limit or event.
         self.card.trap_hook = self._dispatch_trap
 
     # ------------------------------------------------------------------
@@ -231,6 +264,7 @@ class ThorRDInterface(Framework):
         self.card.init()
         self._detail_states = []
         self._instrumenter = None
+        self._update_step_hook()
         self._environment = None
         # card.init() wipes memory (and with it the dirty-page set), but
         # the tracking flag lives here: make sure reference-run tracking
@@ -371,6 +405,7 @@ class ThorRDInterface(Framework):
             )
         self._instrumenter = TrapInstrumenter(self.card)
         self._instrumenter.instrument(plan, reference.trace)
+        self._update_step_hook()
 
     def collect_runtime_injections(self) -> List[Injection]:
         if self._instrumenter is None:
@@ -560,15 +595,18 @@ class ThorRDInterface(Framework):
         self._tracing = True
         self._trace = Trace()
         self._prev_cycles = self.card.cpu.cycles
+        self._update_step_hook()
 
     def stop_trace(self) -> Trace:
         self._tracing = False
+        self._update_step_hook()
         return self._trace
 
     def set_detail_logging(self, enabled: bool) -> None:
         self._detail = enabled
         if enabled:
             self._detail_states = []
+        self._update_step_hook()
 
     def drain_detail_states(self) -> List[StateVector]:
         states = self._detail_states
@@ -579,6 +617,14 @@ class ThorRDInterface(Framework):
         if self._instrumenter is None:
             return False
         return self._instrumenter.handle_trap(card, trap_event)
+
+    def _update_step_hook(self) -> None:
+        """Install the card's step hook exactly while tracing, detail
+        logging or runtime-SWIFI instrumentation is active."""
+        listening = (
+            self._tracing or self._detail or self._instrumenter is not None
+        )
+        self.card.on_step = self._dispatch_step if listening else None
 
     def _dispatch_step(self, card: TestCard) -> None:
         if self._instrumenter is not None:
@@ -591,20 +637,14 @@ class ThorRDInterface(Framework):
     def _trace_step(self, card: TestCard) -> None:
         cpu = card.cpu
         last = cpu.last_exec
-        word = cpu.pipeline.ir
-        instr = try_decode(word)
-        if instr is not None:
-            effects = register_effects(instr)
-            reg_reads = tuple(sorted(effects.reg_reads))
-            reg_writes = tuple(sorted(effects.reg_writes))
-            reads_flags = effects.reads_flags
-            writes_flags = effects.writes_flags
-            is_branch = instr.opcode in isa.BRANCHES
-            is_call = instr.opcode is Opcode.CALL
-        else:
-            reg_reads = reg_writes = ()
-            reads_flags = writes_flags = False
-            is_branch = is_call = False
+        (
+            reg_reads,
+            reg_writes,
+            reads_flags,
+            writes_flags,
+            is_branch,
+            is_call,
+        ) = _trace_static(cpu.pipeline.ir)
         step = TraceStep(
             index=len(self._trace),
             pc=last.pc,
@@ -718,6 +758,7 @@ class ThorRDInterface(Framework):
         self._instrumenter = None
         self._tracing = False
         self._detail = False
+        self._update_step_hook()
         # Verify: recompute the fingerprint over the *live* restored
         # state and compare with the capture-time digest.
         restored_blob = pickle.dumps(

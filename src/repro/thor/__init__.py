@@ -5,7 +5,8 @@ parity-protected instruction and data caches and IEEE-1149.1 scan chains.
 Neither the chip nor its test card is available, so this package provides a
 from-scratch simulator with the properties fault injection actually needs:
 
-* a real ISA executed instruction-by-instruction (``isa``, ``cpu``),
+* a real ISA executed instruction-by-instruction (``isa``, ``cpu``, with
+  the fused run loop's per-opcode exec entries in ``dispatch``),
 * an assembler for writing workloads (``assembler``),
 * architectural state elements faults can land in — register file, PSR,
   PC, pipeline latches (``registers``, ``pipeline``),

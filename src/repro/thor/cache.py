@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 from repro.thor.memory import WORD_TYPECODE
-from repro.util.bits import _BYTE_PARITY, parity
+from repro.util.bits import _WORD16_PARITY, parity
 
 DEFAULT_LINES = 16
 DEFAULT_WORDS_PER_LINE = 4
@@ -148,34 +148,32 @@ class Cache:
         miss penalty (0 on a hit). Raises :class:`CacheParityError` when a
         stored parity bit disagrees with its protected field.
 
-        The hit path is the single hottest call in the simulator (every
-        fetch crosses it), so the address split and the parity folds are
-        inlined here: a scan write masks any stored field to its cell
-        width (< 33 bits), so the four-byte XOR fold is always exact.
+        The hit path is hot (every D-cache access and every I-cache
+        fetch the CPU's fused loop does not resolve inline crosses it),
+        so the address split and the parity folds are inlined here: a
+        scan write masks any stored field to its cell width (< 33 bits),
+        so folding the low and high 16 bits through the 16-bit parity
+        table is exact. Any miss or parity failure of the CPU's inline
+        I-cache hit path lands here, which keeps this method the single
+        source of fill and trap behaviour.
         """
         offset = address & self._offset_mask
         index = (address >> self._offset_bits) & self._index_mask
         tag = address >> self._tag_shift
         line = self.lines[index]
-        table = _BYTE_PARITY
+        table = _WORD16_PARITY
         if line.valid:
             if self.check_parity:
                 stored = line.tag
                 if (
-                    table[stored & 0xFF]
-                    ^ table[(stored >> 8) & 0xFF]
-                    ^ table[(stored >> 16) & 0xFF]
-                    ^ table[(stored >> 24) & 0xFF]
+                    table[stored & 0xFFFF] ^ table[(stored >> 16) & 0xFFFF]
                 ) != line.tag_parity:
                     self.stats.parity_errors += 1
                     raise CacheParityError(self.name, index, "tag", address)
             if line.tag == tag:
                 value = line.data[offset]
                 if self.check_parity and (
-                    table[value & 0xFF]
-                    ^ table[(value >> 8) & 0xFF]
-                    ^ table[(value >> 16) & 0xFF]
-                    ^ table[value >> 24]
+                    table[value & 0xFFFF] ^ table[value >> 16]
                 ) != line.data_parity[offset]:
                     self.stats.parity_errors += 1
                     raise CacheParityError(self.name, index, "data", address)

@@ -8,34 +8,51 @@ termination conditions); ``SYNC`` emits an iteration-boundary event used
 by the environment-simulator exchange; ``HALT`` terminates the workload
 normally.
 
-Two step implementations share the architectural semantics:
+Two implementations share the architectural semantics:
 
-* the **fast path** (:meth:`Cpu._step_fast`, default) fuses
-  fetch/decode/execute through a memoized ``word -> (instruction,
-  handler, cycle cost)`` table whose per-opcode handlers are validated
-  against :data:`repro.thor.isa.SEMANTICS`;
+* the **fast path** (default) is one fused run loop,
+  :meth:`Cpu._run_fast`, that runs until a cycle limit or a
+  halt/sync/trap event with the limit check, the I-cache hit path, the
+  exec-entry lookup and the ``last_exec`` bookkeeping inlined. Its exec
+  entries are memoized per instruction word: closures that bind their
+  register indices and immediates, built by the per-opcode specialisers
+  of :mod:`repro.thor.dispatch` (validated against
+  :data:`repro.thor.isa.SEMANTICS`).
+  :meth:`Cpu._step_fast` is a one-instruction call into the same loop,
+  so there is one copy of the fast semantics;
 * the **reference path** (:meth:`Cpu._step_reference`) keeps the
   original straight-line decode + if-chain execute. It is not dead
-  code: the core-equivalence property suite and the E18 benchmark run
-  campaigns under both dispatchers and require byte-identical rows.
+  code: the core-equivalence and lockstep property suites and the E18
+  benchmark run both dispatchers and require identical state and rows.
 
-Selection is per-instance at construction from the
-:attr:`Cpu.fast_dispatch` class attribute.
+Selection (``step`` and ``run_until``) is per-instance at construction
+from the :attr:`Cpu.fast_dispatch` class attribute.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.thor import isa
 from repro.thor.cache import Cache, CacheParityError
-from repro.thor.isa import Instruction, IllegalOpcode, Opcode
+from repro.thor.dispatch import (
+    _COST,
+    _HANDLERS,
+    _M32,
+    _MEMORY_OPS,
+    _RECORDS_MEMORY,
+    _Completed,
+    _ExecEntry,
+    _Specialiser,
+    _TrapSignal,
+)
+from repro.thor.isa import IllegalOpcode, Instruction, Opcode
 from repro.thor.memory import IllegalAddress, Memory, MemoryBus
 from repro.thor.pipeline import PipelineLatches
 from repro.thor.registers import Psr, RegisterFile
 from repro.thor.traps import Trap, TrapEvent
-from repro.util.bits import to_signed, to_unsigned
+from repro.util.bits import _WORD16_PARITY, to_signed, to_unsigned
 
 
 @dataclass(frozen=True)
@@ -146,11 +163,26 @@ class Cpu:
         self._uncached_base = self.config.uncached_base
         self._watchdog = self.config.watchdog_cycles
         self._regs = self.regs._regs
-        # Per-instance dispatcher binding (shadows nothing: ``step`` has
-        # no class-level def; both implementations stay addressable).
+        # Everything the fused run loop reads that no reset, restore or
+        # scan write replaces (they all mutate these objects in place).
+        icache = self.icache
+        self._loop_invariants = (
+            self._regs, self.psr, self.pipeline, self.bus, icache,
+            self._memory_size, icache._offset_bits, icache._index_mask,
+            icache._tag_shift, icache._offset_mask, icache.check_parity,
+        )
+        # Per-instance dispatcher binding (shadows nothing: ``step`` and
+        # ``run_until`` have no class-level def; both implementations
+        # stay addressable).
+        fast = type(self).fast_dispatch
         self.step: Callable[[], Optional[CpuEvent]] = (
-            self._step_fast if type(self).fast_dispatch
-            else self._step_reference
+            self._step_fast if fast else self._step_reference
+        )
+        #: ``run_until(limit)``: run until ``cycles >= limit`` (returns
+        #: None) or until an instruction halts, syncs or traps (returns
+        #: its event).
+        self.run_until: Callable[[int], Optional[CpuEvent]] = (
+            self._run_fast if fast else self._run_reference
         )
 
     # -- lifecycle -----------------------------------------------------------
@@ -273,80 +305,174 @@ class Cpu:
     def _step_fast(self) -> Optional[CpuEvent]:
         """Execute one instruction (fast path). Returns an event or None.
 
-        Semantically identical to :meth:`_step_reference` — including
-        trap ordering, partial-state effects of faulting instructions,
-        cycle/counter accounting and the ``last_exec`` record — but with
-        fetch/decode/execute fused through the memoized exec-entry table
-        and all per-step allocations removed.
+        A one-instruction call into :meth:`_run_fast`: every opcode costs
+        at least one cycle, so ``limit = cycles + 1`` stops the loop after
+        exactly one instruction."""
+        return self._run_fast(self.cycles + 1)
+
+    def _run_reference(self, limit: int) -> Optional[CpuEvent]:
+        """:meth:`run_until` over the reference step."""
+        while self.cycles < limit:
+            event = self._step_reference()
+            if event is not None:
+                return event
+        return None
+
+    def _run_fast(self, limit: int) -> Optional[CpuEvent]:
+        """Run until ``cycles >= limit`` (returns None) or until an
+        instruction halts, syncs or traps (returns its event).
+
+        The fused run loop: the limit check, the I-cache hit path, the
+        exec-entry lookup and the ``last_exec`` bookkeeping are inlined,
+        and the run counters, the PC and the fetch latch live in locals
+        that are written back once on exit. Semantically identical to
+        repeated :meth:`_step_reference` calls — trap ordering, partial
+        state of faulting instructions, cycle/counter accounting and the
+        ``last_exec`` record — which the lockstep property suite pins at
+        every instruction boundary.
         """
         if self.halted:
             raise CpuHalted("CPU is halted")
-
-        start_pc = self.pc
-        pipeline = self.pipeline
-
-        # Fetch (through the I-cache, unless the scan chain forced the IR).
-        if pipeline.ir_forced:
-            pipeline.ir_forced = False
-            word = pipeline.ir
-        else:
-            if not 0 <= start_pc < self._memory_size:
-                return self._raise_trap(
-                    Trap.ILLEGAL_ADDRESS, detail=f"fetch from {start_pc:#x}"
-                )
-            try:
-                word, extra = self.icache.read(start_pc, self.bus)
-            except CacheParityError as exc:
-                return self._raise_trap(Trap.ICACHE_PARITY, detail=str(exc))
-            if extra:
-                self.cycles += extra
-            pipeline.ir = word  # latch_fetch; ir_forced is already False
-
-        # Decode + dispatch lookup (memoized per instruction word).
-        entry = _EXEC_CACHE.get(word)
-        if entry is None:
-            entry = _exec_entry(word)
-            if entry is None:
-                return self._raise_trap(
-                    Trap.ILLEGAL_OPCODE, detail=f"word {word:#010x}"
-                )
-        instr, handler, cost = entry
-
-        # Execute. The in-place reset mirrors the reference path's fresh
-        # LastExec() and must happen only once decode has succeeded.
-        self.cycles += cost
-        last = self.last_exec
-        last.pc = 0
-        last.opcode = None
-        last.branch_taken = False
-        last.mem_address = None
-        last.mem_value = None
-        last.mem_is_write = False
-        last.reg_reads = ()
-        last.reg_writes = ()
-        try:
-            event, next_pc, taken = handler(self, instr)
-        except CacheParityError as exc:
-            return self._raise_trap(Trap.DCACHE_PARITY, detail=str(exc))
-        except IllegalAddress as exc:
-            return self._raise_trap(Trap.ILLEGAL_ADDRESS, detail=str(exc))
-
-        if event is not None and event.kind == "trap":
-            return event
-
-        if taken:
-            self.cycles += 1
-        self.pc = next_pc & 0xFFFFFFFF
-        self.instret += 1
-        last.pc = start_pc
-        last.opcode = instr.opcode
-        last.branch_taken = taken
-
+        (
+            regs, psr, pipeline, bus, icache,
+            memory_size, offset_bits, index_mask, tag_shift, offset_mask,
+            check_parity,
+        ) = self._loop_invariants
+        pc = self.pc
+        cycles = self.cycles
+        instret = self.instret
         watchdog = self._watchdog
-        if watchdog is not None and self.cycles > watchdog:
-            return self._raise_trap(
-                Trap.WATCHDOG, detail=f"cycle budget {watchdog}"
-            )
+        # The watchdog folds into the loop bound: the instruction that
+        # leaves ``cycles > watchdog`` is the last one this call runs.
+        stop = limit if watchdog is None else min(
+            limit, max(watchdog + 1, cycles + 1)
+        )
+        ir = pipeline.ir
+        forced = pipeline.ir_forced
+        lines = icache.lines
+        parity16 = _WORD16_PARITY
+        exec_cache = _EXEC_CACHE
+        hits = 0
+        last_entry: Optional[_ExecEntry] = None  # last completed instruction
+        last_pc = 0
+        taken = False
+        trap: Optional[Tuple[Trap, str, int]] = None
+        aborted = False  # the trapping instruction got past decode
+        event: Optional[CpuEvent] = None
+        while cycles < stop:
+            # Fetch: the forced IR, an inline clean I-cache hit, or
+            # Cache.read (misses and parity failures).
+            if forced:
+                forced = False
+                pipeline.ir_forced = False
+                word = ir
+            elif 0 <= pc < memory_size:
+                line = lines[(pc >> offset_bits) & index_mask]
+                offset = pc & offset_mask
+                word = line.data[offset]
+                tag = line.tag
+                if line.valid and tag == pc >> tag_shift and (
+                    not check_parity
+                    or (
+                        parity16[tag & 0xFFFF] ^ parity16[tag >> 16]
+                        == line.tag_parity
+                        and parity16[word & 0xFFFF] ^ parity16[word >> 16]
+                        == line.data_parity[offset]
+                    )
+                ):
+                    hits += 1
+                else:
+                    try:
+                        word, extra = icache.read(pc, bus)
+                    except CacheParityError as exc:
+                        trap = (Trap.ICACHE_PARITY, str(exc), 0)
+                        break
+                    cycles += extra
+                ir = word
+            else:
+                trap = (Trap.ILLEGAL_ADDRESS, f"fetch from {pc:#x}", 0)
+                break
+            # Decode: one memoized lookup per instruction word.
+            entry = exec_cache.get(word)
+            if entry is None:
+                entry = _fused_entry(word)
+                if entry is None:
+                    trap = (Trap.ILLEGAL_OPCODE, f"word {word:#010x}", 0)
+                    break
+            # Execute.
+            execute, cost, memory_access, _ = entry
+            cycles += cost
+            try:
+                if memory_access:
+                    cycles += execute(self, regs, psr, pc)
+                    npc = pc + 1
+                else:
+                    npc = execute(self, regs, psr, pc)
+            except _Completed as done:  # HALT, SYNC
+                event = CpuEvent(kind=done.kind, iteration=done.iteration)
+                last_entry = entry
+                last_pc = pc
+                taken = False
+                pc = (pc + 1) & _M32
+                instret += 1
+                break
+            except _TrapSignal as signal:
+                trap = (signal.trap, "", signal.code)
+                aborted = True
+                break
+            except CacheParityError as exc:
+                trap = (Trap.DCACHE_PARITY, str(exc), 0)
+                aborted = True
+                break
+            except IllegalAddress as exc:
+                trap = (Trap.ILLEGAL_ADDRESS, str(exc), 0)
+                aborted = True
+                break
+            if npc < 0:  # a taken transfer returns ~target
+                npc = ~npc
+                cycles += 1
+                taken = True
+            else:
+                taken = False
+            last_entry = entry
+            last_pc = pc
+            pc = npc & _M32
+            instret += 1
+
+        self.pc = pc
+        self.cycles = cycles
+        self.instret = instret
+        pipeline.ir = ir
+        if hits:
+            icache.stats.hits += hits
+        last = self.last_exec
+        if aborted:
+            # A trapping instruction leaves a fresh record, like the
+            # reference path's ``LastExec()`` before execute.
+            last.pc = 0
+            last.opcode = None
+            last.branch_taken = False
+            last.mem_address = None
+            last.mem_value = None
+            last.mem_is_write = False
+            last.reg_reads = ()
+            last.reg_writes = ()
+        elif last_entry is not None:
+            opcode = last_entry[3]
+            last.pc = last_pc
+            last.opcode = opcode
+            last.branch_taken = taken
+            if opcode not in _RECORDS_MEMORY:
+                last.mem_address = None
+                last.mem_value = None
+                last.mem_is_write = False
+            last.reg_reads = ()
+            last.reg_writes = ()
+            if trap is None and watchdog is not None and cycles > watchdog:
+                trap = (Trap.WATCHDOG, f"cycle budget {watchdog}", 0)
+        if trap is not None:
+            kind, detail, code = trap
+            return self._raise_trap(kind, detail=detail, code=code)
         return event
 
     def _step_reference(self) -> Optional[CpuEvent]:
@@ -625,394 +751,32 @@ def _add_sub(a: int, b: int, subtract: bool) -> Tuple[int, bool, bool]:
 
 
 # ---------------------------------------------------------------------------
-# Fast-dispatch handler table
+# Exec-entry memo of the fused run loop (entries: repro.thor.dispatch)
 # ---------------------------------------------------------------------------
-# One module-level handler per opcode, each an inlined transcription of
-# the corresponding branch of Cpu._execute (the reference oracle). A
-# handler returns ``(event, next_pc, taken)``; ``next_pc`` is masked and
-# applied by the step loop unless the event is a trap. State-mutation
-# *order* is preserved exactly — e.g. PUSH updates SP before the D-cache
-# write that may raise on a protected page, so a trapping PUSH leaves
-# the same partial state under both dispatchers.
 
-_M32 = 0xFFFFFFFF
-_SIGN = 0x80000000
-_SP = isa.REG_SP
-_LR = isa.REG_LR
-
-_HandlerResult = Tuple[Optional[CpuEvent], int, bool]
-_Handler = Callable[["Cpu", Instruction], _HandlerResult]
-
-
-def _h_nop(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-    return None, cpu.pc + 1, False
-
-
-def _h_halt(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-    cpu.halted = True
-    return CpuEvent(kind="halt"), cpu.pc + 1, False
-
-
-def _h_sync(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-    cpu.iterations += 1
-    return CpuEvent(kind="sync", iteration=cpu.iterations), cpu.pc + 1, False
-
-
-def _addsub_handler(subtract: bool, immediate: bool) -> _Handler:
-    def handler(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-        regs = cpu._regs
-        a = regs[instr.rs1]
-        b = (instr.imm & _M32) if immediate else regs[instr.rs2]
-        sa = a - 0x100000000 if a & _SIGN else a
-        sb = b - 0x100000000 if b & _SIGN else b
-        if subtract:
-            wide = a + ((~b) & _M32) + 1
-            signed = sa - sb
-        else:
-            wide = a + b
-            signed = sa + sb
-        result = wide & _M32
-        regs[instr.rd] = result
-        psr = cpu.psr
-        psr.z = result == 0
-        psr.n = result >= _SIGN
-        psr.c = wide > _M32
-        overflow = signed < -2147483648 or signed > 2147483647
-        psr.v = overflow
-        if overflow and psr.overflow_enable:
-            return cpu._raise_trap(Trap.OVERFLOW), 0, False
-        return None, cpu.pc + 1, False
-
-    return handler
-
-
-def _mul_handler(immediate: bool) -> _Handler:
-    def handler(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-        regs = cpu._regs
-        a = regs[instr.rs1]
-        sa = a - 0x100000000 if a & _SIGN else a
-        if immediate:
-            sb = instr.imm
-        else:
-            b = regs[instr.rs2]
-            sb = b - 0x100000000 if b & _SIGN else b
-        result = (sa * sb) & _M32
-        regs[instr.rd] = result
-        psr = cpu.psr
-        psr.z = result == 0
-        psr.n = result >= _SIGN
-        return None, cpu.pc + 1, False
-
-    return handler
-
-
-def _divmod_handler(is_div: bool) -> _Handler:
-    def handler(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-        regs = cpu._regs
-        a = regs[instr.rs1]
-        b = regs[instr.rs2]
-        sa = a - 0x100000000 if a & _SIGN else a
-        sb = b - 0x100000000 if b & _SIGN else b
-        if sb == 0:
-            return cpu._raise_trap(Trap.DIV_ZERO), 0, False
-        quotient = int(sa / sb)  # truncate toward zero (reference idiom)
-        result = (quotient if is_div else sa - quotient * sb) & _M32
-        regs[instr.rd] = result
-        psr = cpu.psr
-        psr.z = result == 0
-        psr.n = result >= _SIGN
-        return None, cpu.pc + 1, False
-
-    return handler
-
-
-def _logic_handler(code: str, immediate: bool) -> _Handler:
-    is_and = code == "and"
-    is_or = code == "or"
-
-    def handler(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-        regs = cpu._regs
-        a = regs[instr.rs1]
-        b = (instr.imm & _M32) if immediate else regs[instr.rs2]
-        if is_and:
-            result = a & b
-        elif is_or:
-            result = a | b
-        else:
-            result = a ^ b
-        regs[instr.rd] = result
-        psr = cpu.psr
-        psr.z = result == 0
-        psr.n = result >= _SIGN
-        return None, cpu.pc + 1, False
-
-    return handler
-
-
-def _shift_handler(code: str, immediate: bool) -> _Handler:
-    is_shl = code == "shl"
-    is_shr = code == "shr"
-
-    def handler(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-        regs = cpu._regs
-        a = regs[instr.rs1]
-        amount = (instr.imm & 31) if immediate else (regs[instr.rs2] & 31)
-        if is_shl:
-            result = (a << amount) & _M32
-        elif is_shr:
-            result = a >> amount
-        else:  # SRA
-            sa = a - 0x100000000 if a & _SIGN else a
-            result = (sa >> amount) & _M32
-        regs[instr.rd] = result
-        psr = cpu.psr
-        psr.z = result == 0
-        psr.n = result >= _SIGN
-        return None, cpu.pc + 1, False
-
-    return handler
-
-
-def _h_not(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-    result = (~cpu._regs[instr.rs1]) & _M32
-    cpu._regs[instr.rd] = result
-    psr = cpu.psr
-    psr.z = result == 0
-    psr.n = result >= _SIGN
-    return None, cpu.pc + 1, False
-
-
-def _h_mov(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-    regs = cpu._regs
-    result = regs[instr.rs1]
-    regs[instr.rd] = result
-    psr = cpu.psr
-    psr.z = result == 0
-    psr.n = result >= _SIGN
-    return None, cpu.pc + 1, False
-
-
-def _h_ldi(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-    cpu._regs[instr.rd] = instr.imm & _M32
-    return None, cpu.pc + 1, False
-
-
-def _h_lui(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-    cpu._regs[instr.rd] = (instr.imm << 14) & _M32
-    return None, cpu.pc + 1, False
-
-
-def _cmp_handler(immediate: bool) -> _Handler:
-    def handler(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-        regs = cpu._regs
-        a = regs[instr.rs1]
-        b = (instr.imm & _M32) if immediate else regs[instr.rs2]
-        wide = a + ((~b) & _M32) + 1
-        result = wide & _M32
-        sa = a - 0x100000000 if a & _SIGN else a
-        sb = b - 0x100000000 if b & _SIGN else b
-        signed = sa - sb
-        psr = cpu.psr
-        psr.z = result == 0
-        psr.n = result >= _SIGN
-        psr.c = wide > _M32
-        psr.v = signed < -2147483648 or signed > 2147483647
-        return None, cpu.pc + 1, False
-
-    return handler
-
-
-def _h_ld(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-    address = (cpu._regs[instr.rs1] + instr.imm) & _M32
-    if address >= cpu._memory_size:
-        raise IllegalAddress(address, "load")
-    if address >= cpu._uncached_base:
-        value = cpu.bus.read(address)
-        cpu.cycles += 2  # uncached MMIO access
-    else:
-        value, extra = cpu.dcache.read(address, cpu.bus)
-        if extra:
-            cpu.cycles += extra
-    cpu._regs[instr.rd] = value
-    pipeline = cpu.pipeline
-    pipeline.mar = address
-    pipeline.mdr = value
-    last = cpu.last_exec
-    last.mem_address = address
-    last.mem_value = value
-    return None, cpu.pc + 1, False
-
-
-def _h_st(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-    regs = cpu._regs
-    address = (regs[instr.rs1] + instr.imm) & _M32
-    if address >= cpu._memory_size:
-        raise IllegalAddress(address, "store")
-    value = regs[instr.rd]
-    if address >= cpu._uncached_base:
-        cpu.bus.write(address, value)
-        cpu.cycles += 2  # uncached MMIO access
-    else:
-        cpu.dcache.write(address, value, cpu.bus)  # write buffer: 0 cycles
-    pipeline = cpu.pipeline
-    pipeline.mar = address
-    pipeline.mdr = value
-    last = cpu.last_exec
-    last.mem_address = address
-    last.mem_value = value
-    last.mem_is_write = True
-    return None, cpu.pc + 1, False
-
-
-def _h_push(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-    regs = cpu._regs
-    sp = (regs[_SP] - 1) & _M32
-    if sp >= cpu._memory_size:
-        raise IllegalAddress(sp, "push")
-    regs[_SP] = sp  # SP moves before a (possibly trapping) store
-    value = regs[instr.rd]
-    cpu.dcache.write(sp, value, cpu.bus)
-    pipeline = cpu.pipeline
-    pipeline.mar = sp
-    pipeline.mdr = value
-    return None, cpu.pc + 1, False
-
-
-def _h_pop(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-    regs = cpu._regs
-    sp = regs[_SP]
-    if sp >= cpu._memory_size:
-        raise IllegalAddress(sp, "pop")
-    value, extra = cpu.dcache.read(sp, cpu.bus)
-    if extra:
-        cpu.cycles += extra
-    regs[instr.rd] = value
-    regs[_SP] = (sp + 1) & _M32
-    pipeline = cpu.pipeline
-    pipeline.mar = sp
-    pipeline.mdr = value
-    return None, cpu.pc + 1, False
-
-
-def _h_jmp(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-    return None, instr.imm, True
-
-
-def _h_jr(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-    return None, cpu._regs[instr.rs1], True
-
-
-def _h_call(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-    cpu._regs[_LR] = (cpu.pc + 1) & _M32
-    return None, instr.imm, True
-
-
-def _h_ret(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-    return None, cpu._regs[_LR], True
-
-
-def _h_trap(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-    return cpu._raise_trap(Trap.SOFTWARE, code=instr.imm), 0, False
-
-
-# Branch predicates over the PSR, used to generate one handler per
-# conditional branch; coverage is derived from isa.SEMANTICS below.
-_BRANCH_PREDICATES: Dict[Opcode, Callable[[Psr], bool]] = {
-    Opcode.BEQ: lambda psr: psr.z,
-    Opcode.BNE: lambda psr: not psr.z,
-    Opcode.BLT: lambda psr: psr.n != psr.v,
-    Opcode.BGE: lambda psr: psr.n == psr.v,
-    Opcode.BGT: lambda psr: (not psr.z) and psr.n == psr.v,
-    Opcode.BLE: lambda psr: psr.z or psr.n != psr.v,
-}
-
-
-def _branch_handler(predicate: Callable[[Psr], bool]) -> _Handler:
-    def handler(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-        if predicate(cpu.psr):
-            return None, cpu.pc + 1 + instr.imm, True
-        return None, cpu.pc + 1, False
-
-    return handler
-
-
-def _build_handlers() -> Dict[Opcode, _Handler]:
-    handlers: Dict[Opcode, _Handler] = {
-        Opcode.NOP: _h_nop,
-        Opcode.HALT: _h_halt,
-        Opcode.SYNC: _h_sync,
-        Opcode.ADD: _addsub_handler(subtract=False, immediate=False),
-        Opcode.SUB: _addsub_handler(subtract=True, immediate=False),
-        Opcode.ADDI: _addsub_handler(subtract=False, immediate=True),
-        Opcode.SUBI: _addsub_handler(subtract=True, immediate=True),
-        Opcode.MUL: _mul_handler(immediate=False),
-        Opcode.MULI: _mul_handler(immediate=True),
-        Opcode.DIV: _divmod_handler(is_div=True),
-        Opcode.MOD: _divmod_handler(is_div=False),
-        Opcode.AND: _logic_handler("and", immediate=False),
-        Opcode.OR: _logic_handler("or", immediate=False),
-        Opcode.XOR: _logic_handler("xor", immediate=False),
-        Opcode.ANDI: _logic_handler("and", immediate=True),
-        Opcode.ORI: _logic_handler("or", immediate=True),
-        Opcode.XORI: _logic_handler("xor", immediate=True),
-        Opcode.SHL: _shift_handler("shl", immediate=False),
-        Opcode.SHR: _shift_handler("shr", immediate=False),
-        Opcode.SRA: _shift_handler("sra", immediate=False),
-        Opcode.SHLI: _shift_handler("shl", immediate=True),
-        Opcode.SHRI: _shift_handler("shr", immediate=True),
-        Opcode.NOT: _h_not,
-        Opcode.MOV: _h_mov,
-        Opcode.LDI: _h_ldi,
-        Opcode.LUI: _h_lui,
-        Opcode.CMP: _cmp_handler(immediate=False),
-        Opcode.CMPI: _cmp_handler(immediate=True),
-        Opcode.LD: _h_ld,
-        Opcode.ST: _h_st,
-        Opcode.PUSH: _h_push,
-        Opcode.POP: _h_pop,
-        Opcode.JMP: _h_jmp,
-        Opcode.JR: _h_jr,
-        Opcode.CALL: _h_call,
-        Opcode.RET: _h_ret,
-        Opcode.TRAP: _h_trap,
-    }
-    handlers.update(
-        {
-            op: _branch_handler(predicate)
-            for op, predicate in _BRANCH_PREDICATES.items()
-        }
-    )
-    # Derive coverage and control-flow agreement from the shared
-    # semantics table rather than trusting the literals above.
-    assert set(handlers) == set(isa.SEMANTICS), (
-        "fast-dispatch handler table must cover every opcode"
-    )
-    branch_ops = {
-        op for op, sem in isa.SEMANTICS.items()
-        if sem.flow == isa.FLOW_BRANCH
-    }
-    assert branch_ops == set(_BRANCH_PREDICATES), (
-        "branch predicates out of sync with isa.SEMANTICS"
-    )
-    return handlers
-
-
-_HANDLERS: Dict[Opcode, _Handler] = _build_handlers()
-_COST: Dict[Opcode, int] = dict(isa.CYCLE_COST)
-
-#: Memoized fused-dispatch entries: instruction word ->
-#: (frozen Instruction, handler, base cycle cost). Shares the decode
-#: memo's no-poisoning property — illegal words never get an entry — and
-#: the same clear-on-full size bound.
-_EXEC_CACHE: Dict[int, Tuple[Instruction, _Handler, int]] = {}
+#: Memoized exec entries of the fused loop: instruction word ->
+#: :data:`_ExecEntry`. Illegal words never get an entry (no poisoning),
+#: and the table is cleared when full, like the decode memo.
+_EXEC_CACHE: Dict[int, _ExecEntry] = {}
 _EXEC_CACHE_MAX = 1 << 16
 
 
-def _exec_entry(word: int) -> Optional[Tuple[Instruction, _Handler, int]]:
+def _exec_entry(word: int) -> Optional[Tuple[Instruction, _Specialiser, int]]:
+    """Decode half of an exec entry: ``(instruction, specialiser, base
+    cycle cost)``, or None for an illegal word."""
     instr = isa.try_decode(word)
     if instr is None:
         return None
-    entry = (instr, _HANDLERS[instr.opcode], _COST[instr.opcode])
+    return instr, _HANDLERS[instr.opcode], _COST[instr.opcode]
+
+
+def _fused_entry(word: int) -> Optional[_ExecEntry]:
+    """Build and memoize the fused loop's entry for ``word``."""
+    decoded = _exec_entry(word)
+    if decoded is None:
+        return None
+    instr, specialise, cost = decoded
+    entry = (specialise(instr), cost, instr.opcode in _MEMORY_OPS, instr.opcode)
     if len(_EXEC_CACHE) >= _EXEC_CACHE_MAX:
         _EXEC_CACHE.clear()
     _EXEC_CACHE[word] = entry

@@ -163,11 +163,17 @@ class TestCard:
         if cpu.halted:
             raise TargetError("target is halted; re-initialise the card first")
         # Loop-invariant hoists: breakpoints and hooks are only
-        # reconfigured while the card is stopped, so the per-instruction
-        # body should not pay an attribute lookup for each of them.
-        step = cpu.step
+        # reconfigured while the card is stopped. With no step hook and
+        # no address breakpoint the CPU runs straight to the next cycle
+        # limit or event in one fused loop; otherwise it runs one
+        # instruction per turn so the hook sees every boundary.
+        run_until = cpu.run_until
         breakpoints = self._breakpoints
         on_step = self.on_step
+        single_step = on_step is not None or bool(breakpoints)
+        limit = timeout_cycles
+        if stop_cycle is not None and stop_cycle < limit:
+            limit = stop_cycle
         while True:
             if stop_cycle is not None and cpu.cycles >= stop_cycle:
                 return DebugEvent(
@@ -193,7 +199,7 @@ class TestCard:
                     reason=f"budget {timeout_cycles}",
                 )
 
-            event = step()
+            event = run_until(cpu.cycles + 1 if single_step else limit)
             # Step hooks (tracing, detail-mode logging, trap re-planting)
             # see only completed instructions, not halting/trapping steps.
             if on_step is not None and (

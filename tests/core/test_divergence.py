@@ -513,3 +513,50 @@ class TestParallelMemoSharing:
             ),
         )
         assert len(sink.results) == 4
+
+
+class TestMemoReplayOrder:
+    """The memo key sorts an action's locations, so a replay may come
+    from a plan that listed them in another order: the replayed row must
+    log the injections in the replaying plan's own order."""
+
+    def test_in_plan_order_follows_the_plan(self):
+        from repro.core.divergence import in_plan_order
+        from repro.core.experiment import Injection
+
+        a, b = loc(bit=24), loc(bit=29)
+
+        def injection(location, before, time=50):
+            return Injection(
+                time=time, location=location, op="flip",
+                bit_before=before, bit_after=1 - before,
+            )
+
+        recorded = [injection(b, 0), injection(a, 0), injection(a, 1)]
+        replaying = InjectionPlan(
+            actions=[InjectionAction(time=50, locations=(a, a, b))]
+        )
+        ordered = in_plan_order(recorded, replaying)
+        assert [(i.location.key(), i.bit_before) for i in ordered] == [
+            (a.key(), 0), (a.key(), 1), (b.key(), 0),
+        ]
+        # Actions that never injected (the run ended first) stay out.
+        later = InjectionPlan(
+            actions=[
+                InjectionAction(time=50, locations=(a, b)),
+                InjectionAction(time=90, locations=(b,)),
+            ]
+        )
+        assert [i.location.key() for i in in_plan_order(
+            [injection(b, 0), injection(a, 0)], later
+        )] == [a.key(), b.key()]
+
+    def test_permuted_double_flip_replay_matches_plain_rows(self):
+        from tests.properties.test_prop_state_table import _campaign, _rows
+
+        campaign = _campaign(
+            {"workload": "bubblesort", "fault_model": "double",
+             "fixed_time": 1, "seed": 3204, "parallel": False}
+        )
+        plain = _rows(campaign, accelerated=False)
+        assert _rows(campaign, accelerated=True) == plain
