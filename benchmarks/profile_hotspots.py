@@ -131,8 +131,7 @@ def main(argv=None) -> int:
 
         # Phase 1: reference run (golden trajectory, checkpoint capture),
         # stored in a golden-run cache.
-        reference_target = create_target("thor-rd")
-        reference_target.golden_cache = golden_cache
+        reference_target = create_target("thor-rd", golden_cache=golden_cache)
         _, profiler = _profile(
             reference_target.prepare_run, _campaign(args)
         )
@@ -141,8 +140,7 @@ def main(argv=None) -> int:
         # Phase 2: the experiment loop, end to end on a fresh target that
         # adopts phase 1's golden run from the cache, so this phase does
         # not repeat the reference run.
-        campaign_target = create_target("thor-rd")
-        campaign_target.golden_cache = golden_cache
+        campaign_target = create_target("thor-rd", golden_cache=golden_cache)
         sink, profiler = _profile(
             campaign_target.run_campaign, _campaign(args)
         )

@@ -94,9 +94,9 @@ def _run_leg(name, warm, trigger_time):
     target = create_target("thor-rd")
     if not warm:
         # The cold leg is the paper's plain Figure-2 baseline: no warm
-        # starts, no divergence-window early exits, no outcome memo.
+        # starts, no divergence-window early exits and no outcome memo
+        # (``early_exit`` gates both).
         target.early_exit = False
-        target.memoize = False
     t0 = time.perf_counter()
     sink = target.run_campaign(campaign)
     seconds = time.perf_counter() - t0

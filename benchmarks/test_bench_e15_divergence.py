@@ -8,10 +8,11 @@ usually erased within a checkpoint interval and the run re-converges
 with the golden execution for the long remaining tail — is executed
 twice on fresh targets, both with ``warm_start=True``: once with the
 divergence window and the outcome memo enabled (the default) and once
-with both disabled (``goofi run --no-early-exit``; the plain warm-start
-tail of E13). Results are compared field-for-field (modulo wall clock)
-and the ``divergence.*`` counter family is captured from the
-observability layer.
+with both disabled (``early_exit=False``, which gates both, as ``goofi
+run --no-early-exit`` does; the plain warm-start tail of E13). Results
+are compared field-for-field (modulo wall clock) and the
+``divergence.*`` counter family is captured from the observability
+layer.
 
 Shapes asserted:
 
@@ -105,9 +106,9 @@ def _run_leg(name, accelerated, trigger_time):
     target = create_target("thor-rd")
     if not accelerated:
         # The plain warm-start tail (goofi run --no-early-exit): every
-        # experiment simulates to termination, nothing is memoized.
+        # experiment simulates to termination, nothing is memoized
+        # (``early_exit`` gates the memo too).
         target.early_exit = False
-        target.memoize = False
     t0 = time.perf_counter()
     sink = target.run_campaign(campaign)
     seconds = time.perf_counter() - t0

@@ -4,14 +4,15 @@ Fault-injection algorithms are *compositions of abstract building blocks*:
 ``init_test_card``, ``load_workload``, ``run_workload``,
 ``wait_for_breakpoint``, ``read_scan_chain``, ``inject_fault``,
 ``write_scan_chain``, ``wait_for_termination`` and so on. The concrete
-algorithms — one per-experiment composition per technique,
-``_experiment_scifi``, ``_experiment_swifi_pre``,
-``_experiment_swifi_runtime``, ``_experiment_simfi`` and
-``_experiment_pinlevel`` — call only these blocks, never
-target-specific code. :meth:`FaultInjectionAlgorithms.run_campaign`
-repeats the campaign's composition over its experiments on the one
-campaign loop of :mod:`repro.core.parallel`. Porting the tool to a new
-target means implementing the blocks in a subclass of
+algorithms — the per-experiment compositions
+``_experiment_stop_and_inject`` (SCIFI, simulation-based FI and
+pin-level FI, which differ only in their inject block),
+``_experiment_swifi_pre`` and ``_experiment_swifi_runtime`` — call only
+these blocks, never target-specific code.
+:meth:`FaultInjectionAlgorithms.run_campaign` repeats the campaign's
+composition over its experiments on the one campaign loop of
+:mod:`repro.core.parallel`. Porting the tool to a new target means
+implementing the blocks in a subclass of
 :class:`~repro.core.framework.Framework` (paper Figure 3); adding a new
 technique means writing one more composition here and, when needed, adding
 previously-undefined blocks (paper Section 2.1).
@@ -61,24 +62,6 @@ from repro.util.rng import CampaignRandom
 # timeout (the reference run has no prior duration to derive one from).
 _REFERENCE_BUDGET = 50_000_000
 
-#: Techniques eligible for golden-run warm starts: their pre-injection
-#: prefix is pure execution from reset, so restoring a reference-run
-#: checkpoint at or before the first injection time is state-identical
-#: to re-simulating it. The SWIFI techniques mutate the image or
-#: instrumentation *before* execution starts and therefore always start
-#: cold.
-WARM_START_TECHNIQUES = ("scifi", "simfi", "pinlevel")
-
-#: Techniques whose experiments may be collapsed by the equivalence
-#: engine. The soundness argument (see
-#: :mod:`repro.staticanalysis.equivalence`) requires that an experiment
-#: is "golden execution up to a stop-at-cycle breakpoint, then one bit
-#: flip" — exactly the stop-and-inject techniques. The SWIFI variants
-#: mutate the image or instrument the workload before execution, so two
-#: different injection times are different programs from cycle 0.
-EQUIVALENCE_TECHNIQUES = ("scifi", "simfi", "pinlevel")
-
-
 class StopCampaign(Exception):
     """Raised by a control hook to end the campaign early (the progress
     window's End button)."""
@@ -125,7 +108,43 @@ class FaultInjectionAlgorithms(abc.ABC):
         "pinlevel": ("scan:boundary",),
     }
 
-    def __init__(self) -> None:
+    def __init__(
+        self,
+        *,
+        early_exit: bool = True,
+        verify_equivalence: float = 0.0,
+        golden_cache: Any = None,
+    ) -> None:
+        if not 0.0 <= verify_equivalence <= 1.0:
+            raise CampaignError(
+                "verify_equivalence must be in [0, 1], "
+                f"got {verify_equivalence}"
+            )
+        # The speed options. They are not part of CampaignData: they
+        # change how much is simulated or double-checked, never what the
+        # campaign computes (byte-identity is property-tested), so they
+        # must not perturb config hashes. ``create_target`` and
+        # ``worker_factory`` forward them here, so a parallel run's
+        # parent and workers carry the same values.
+        #: Divergence-window execution and the outcome memo: probe the
+        #: faulty run's state fingerprint at every golden tick after
+        #: injection and replay the known outcome of a state seen before
+        #: (the golden run's or an earlier experiment's), record the
+        #: faulty states experiments pass through, and replay the
+        #: recorded outcome of an earlier experiment with the same
+        #: (restore checkpoint digest, canonical injection delta) key.
+        #: Disabled by ``goofi run --no-early-exit``.
+        self.early_exit = early_exit
+        #: Fraction of statically-derived experiment outcomes that are
+        #: re-executed for real and compared against the derivation
+        #: (``goofi run --verify-equivalence P``). Any divergence is a
+        #: hard failure.
+        self.verify_equivalence = verify_equivalence
+        #: Optional :class:`repro.core.goldencache.GoldenRunCache` —
+        #: when set, :meth:`prepare_run` reuses a cached golden run
+        #: (trace + fingerprint + checkpoint store) keyed by the
+        #: campaign's config hash instead of re-executing it.
+        self.golden_cache = golden_cache
         self.campaign: Optional[CampaignData] = None
         self._locations: List[FaultLocation] = []
         self._fault_model: Optional[FaultModel] = None
@@ -139,44 +158,15 @@ class FaultInjectionAlgorithms(abc.ABC):
         #: ``preinjection_mode="equivalence"`` — the campaign loop uses
         #: it to partition the planned fault list.
         self._equivalence: Any = None
-        #: Fraction of statically-derived experiment outcomes that are
-        #: re-executed for real and compared against the derivation
-        #: (``goofi run --verify-equivalence P``). Any divergence is a
-        #: hard failure. Not part of CampaignData: verification does not
-        #: change what the campaign computes, only how much of it is
-        #: double-checked, so it must not perturb config hashes.
-        self.verify_equivalence: float = 0.0
         self._reference: Optional[ReferenceRun] = None
         #: Checkpoints captured along the reference run (warm starts);
         #: None when the campaign, technique or port rules them out.
         self._checkpoints: Optional[CheckpointStore] = None
-        #: Divergence-window execution: probe the faulty run's state
-        #: fingerprint at every golden tick after injection and replay
-        #: the known outcome of a state seen before (the golden run's or
-        #: an earlier experiment's) instead of simulating the tail. Not
-        #: part of CampaignData for the same reason as
-        #: :attr:`verify_equivalence`: it changes how much is
-        #: simulated, never what the campaign computes (byte-identity is
-        #: property-tested), so it must not perturb config hashes.
-        #: Disabled by ``goofi run --no-early-exit``.
-        self.early_exit: bool = True
-        #: Outcome memoization: replay the recorded outcome of an
-        #: earlier experiment with the same (restore checkpoint digest,
-        #: canonical injection delta) key instead of executing, and
-        #: record the faulty states experiments pass through in the
-        #: state table. Same non-CampaignData rationale as
-        #: :attr:`early_exit`.
-        self.memoize: bool = True
         #: Per-campaign-binding memo and state tables (reset on rebind:
         #: a "cold" key or a state of another workload must never
         #: shortcut this one).
         self._memo: Optional[OutcomeMemo] = None
         self._states: Optional[StateTable] = None
-        #: Optional :class:`repro.core.goldencache.GoldenRunCache` —
-        #: when set, :meth:`prepare_run` reuses a cached golden run
-        #: (trace + fingerprint + checkpoint store) keyed by the
-        #: campaign's config hash instead of re-executing it.
-        self.golden_cache: Any = None
 
     # ------------------------------------------------------------------
     # Abstract building blocks (Figure 2). A port implements the subset
@@ -410,7 +400,7 @@ class FaultInjectionAlgorithms(abc.ABC):
         warm = (
             campaign.warm_start
             and not detail
-            and campaign.technique in WARM_START_TECHNIQUES
+            and campaign.technique in self.INJECT_BLOCKS
         )
         store: Optional[CheckpointStore] = None
         with get_observability().profile(
@@ -596,11 +586,28 @@ class FaultInjectionAlgorithms(abc.ABC):
     #: technique name -> bound per-experiment procedure name, used by
     #: ``run_single_experiment`` to dispatch a campaign's experiments.
     TECHNIQUE_EXPERIMENTS = {
-        "scifi": "_experiment_scifi",
+        "scifi": "_experiment_stop_and_inject",
         "swifi-pre": "_experiment_swifi_pre",
         "swifi-runtime": "_experiment_swifi_runtime",
-        "simfi": "_experiment_simfi",
-        "pinlevel": "_experiment_pinlevel",
+        "simfi": "_experiment_stop_and_inject",
+        "pinlevel": "_experiment_stop_and_inject",
+    }
+
+    #: stop-and-inject technique -> its inject block: the one step in
+    #: which SCIFI, simulation-based FI and pin-level FI differ. These
+    #: are also the techniques eligible for warm starts and equivalence
+    #: collapse: their experiment is golden execution from reset up to
+    #: a stop-at-cycle breakpoint, then the injection. So restoring a
+    #: reference-run checkpoint before the first injection is
+    #: state-identical to re-simulating the prefix, and the soundness
+    #: argument of :mod:`repro.staticanalysis.equivalence` holds. The
+    #: SWIFI techniques mutate the image or instrument the workload
+    #: before execution starts: they always start cold, and two
+    #: injection times are different programs from cycle 0.
+    INJECT_BLOCKS = {
+        "scifi": "_inject_through_scan",
+        "simfi": "inject_fault_direct",
+        "pinlevel": "force_pins",
     }
 
     def _cold_prefix(self) -> None:
@@ -611,9 +618,10 @@ class FaultInjectionAlgorithms(abc.ABC):
         self._apply_detail_mode()
         self.run_workload()
 
-    def _try_restore(self, plan: InjectionPlan) -> bool:
-        """Warm-start the experiment from the latest reference-run
-        checkpoint *strictly before* the plan's first injection time.
+    def _restore_point(self, plan: InjectionPlan) -> Optional[int]:
+        """Index of the reference-run checkpoint this plan's experiment
+        warm-starts from: the latest one *strictly before* the plan's
+        first injection time, or None when the experiment starts cold.
 
         Strictly before, not at-or-before: a checkpoint captured exactly
         at the injection cycle would land the restored target on the
@@ -621,25 +629,31 @@ class FaultInjectionAlgorithms(abc.ABC):
         evaluation, so the first-injection hop must always approach the
         injection time from earlier state.
 
+        A checkpoint store exists only when warm starts apply:
+        :meth:`make_reference_run` captures one only for a ``warm_start``
+        campaign of a stop-and-inject technique in summary logging, and
+        an adopted golden run is keyed on the config hash, which covers
+        all three. So no eligibility check is repeated here."""
+        store = self._checkpoints
+        actions = plan.sorted_actions()
+        if store is None or not actions:
+            return None
+        return store.nearest_before(actions[0].time)
+
+    def _try_restore(self, plan: InjectionPlan) -> bool:
+        """Warm-start the experiment from its restore point.
+
         Returns True when the target is now in the restored state (the
         caller skips the cold prefix); False when no checkpoint applies
         or the restore failed its fingerprint check, in which case the
         target is untouched/garbage and the caller must take the cold
         path (which starts with ``init_test_card`` and is therefore
         always safe)."""
-        store = self._checkpoints
-        campaign = self._require_campaign()
-        if store is None or len(store) == 0:
-            return False
-        if campaign.logging_mode == "detail":
-            return False
-        actions = plan.sorted_actions()
-        if not actions:
-            return False
-        index = store.nearest_before(actions[0].time)
+        index = self._restore_point(plan)
         if index is None:
             return False
-        image = store.restore_image(index)
+        assert self._checkpoints is not None
+        image = self._checkpoints.restore_image(index)
         obs = get_observability()
         try:
             with obs.profile("checkpoint.restore", cycle=image.cycle):
@@ -665,31 +679,44 @@ class FaultInjectionAlgorithms(abc.ABC):
             names.add(location.space.split(":", 1)[1])
         return sorted(names) or None
 
-    def _experiment_scifi(self, index: int, plan: InjectionPlan) -> ExperimentResult:
-        """One SCIFI experiment — the inner procedure of Figure 2."""
+    def _experiment_stop_and_inject(
+        self, index: int, plan: InjectionPlan
+    ) -> ExperimentResult:
+        """One SCIFI, simulation-based FI or pin-level experiment — the
+        inner procedure of Figure 2: warm-restore or run the cold
+        prefix, stop at each injection instant and run the technique's
+        inject block (:attr:`INJECT_BLOCKS`), then finish the run."""
         campaign = self._require_campaign()
-        obs = get_observability()
+        inject = getattr(self, self.INJECT_BLOCKS[campaign.technique])
         result = self._new_result(index)
         if not self._try_restore(plan):
             self._cold_prefix()
-        probing = self._begin_divergence(plan)
+        probe_from = self._begin_divergence(plan)
         termination: Optional[Termination] = None
         for action in plan.sorted_actions():
             termination = self.wait_for_breakpoint(action.time)
             if termination is not None:
                 break
-            names = (
-                None
-                if campaign.full_scan_shift
-                else self._action_chain_names(action)
-            )
-            with obs.profile("scan.read"):
-                chains = self.read_scan_chain(names)
-            result.injections.extend(self.inject_fault(chains, action))
-            with obs.profile("scan.write"):
-                self.write_scan_chain(chains)
-        self._finish_tail(result, plan, termination, probing)
+            result.injections.extend(inject(action))
+        self._finish_tail(result, termination, probe_from)
         return result
+
+    def _inject_through_scan(self, action) -> List[Injection]:
+        """SCIFI's inject block: shift the scan chains out, flip the
+        action's bits in the image, shift them back in. Only the chains
+        the action touches are shifted unless ``full_scan_shift``."""
+        campaign = self._require_campaign()
+        obs = get_observability()
+        names = (
+            None if campaign.full_scan_shift
+            else self._action_chain_names(action)
+        )
+        with obs.profile("scan.read"):
+            chains = self.read_scan_chain(names)
+        injections = self.inject_fault(chains, action)
+        with obs.profile("scan.write"):
+            self.write_scan_chain(chains)
+        return injections
 
     def _experiment_swifi_pre(
         self, index: int, plan: InjectionPlan
@@ -731,43 +758,6 @@ class FaultInjectionAlgorithms(abc.ABC):
         )
         result.injections.extend(self.collect_runtime_injections())
         self._finish(result, termination)
-        return result
-
-    def _experiment_simfi(self, index: int, plan: InjectionPlan) -> ExperimentResult:
-        """One simulation-based FI experiment (MEFISTO-style baseline):
-        direct state access, no scan-chain serialization."""
-        campaign = self._require_campaign()
-        result = self._new_result(index)
-        if not self._try_restore(plan):
-            self._cold_prefix()
-        probing = self._begin_divergence(plan)
-        termination: Optional[Termination] = None
-        for action in plan.sorted_actions():
-            termination = self.wait_for_breakpoint(action.time)
-            if termination is not None:
-                break
-            result.injections.extend(self.inject_fault_direct(action))
-        self._finish_tail(result, plan, termination, probing)
-        return result
-
-    def _experiment_pinlevel(
-        self, index: int, plan: InjectionPlan
-    ) -> ExperimentResult:
-        """One pin-level experiment through boundary scan: stop at the
-        injection instant, arm EXTEST forcing of the selected bus lines,
-        resume — the forced lines corrupt the next read transactions."""
-        campaign = self._require_campaign()
-        result = self._new_result(index)
-        if not self._try_restore(plan):
-            self._cold_prefix()
-        probing = self._begin_divergence(plan)
-        termination: Optional[Termination] = None
-        for action in plan.sorted_actions():
-            termination = self.wait_for_breakpoint(action.time)
-            if termination is not None:
-                break
-            result.injections.extend(self.force_pins(action))
-        self._finish_tail(result, plan, termination, probing)
         return result
 
     # ------------------------------------------------------------------
@@ -870,7 +860,7 @@ class FaultInjectionAlgorithms(abc.ABC):
         from :meth:`prepare_run`."""
         campaign = self._require_campaign()
         if reference is None:
-            reference = getattr(self, "_reference", None)
+            reference = self._reference
         if reference is None:
             raise CampaignError(
                 "run_single_experiment needs a reference run; call "
@@ -882,7 +872,13 @@ class FaultInjectionAlgorithms(abc.ABC):
         memo = self._memo_table() if use_memo else None
         key: Optional[str] = None
         if memo is not None:
-            key = memo_key(self._restore_digest(plan), plan)
+            store, restore = self._checkpoints, self._restore_point(plan)
+            key = memo_key(
+                store.tick(restore).fingerprint
+                if store is not None and restore is not None
+                else None,
+                plan,
+            )
             entry = memo.lookup(key)
             if entry is not None:
                 started = _time.perf_counter()
@@ -1024,7 +1020,7 @@ class FaultInjectionAlgorithms(abc.ABC):
         campaign = self._require_campaign()
         if campaign.timeout_cycles is not None:
             return campaign.timeout_cycles
-        reference = getattr(self, "_reference", None)
+        reference = self._reference
         if reference is None:
             return _REFERENCE_BUDGET
         return int(reference.duration_cycles * campaign.timeout_factor) + 1
@@ -1042,59 +1038,53 @@ class FaultInjectionAlgorithms(abc.ABC):
     # Divergence-window execution + outcome memoization
     # ------------------------------------------------------------------
 
-    def _begin_divergence(self, plan: InjectionPlan) -> bool:
+    def _begin_divergence(self, plan: InjectionPlan) -> Optional[int]:
         """Arm divergence probing for one experiment, if it can pay off.
 
         Probing needs early-exit enabled, a checkpointed reference run
-        with at least one golden tick strictly after the last injection
-        action and strictly before the reference termination (otherwise
-        there is no tail to skip), summary logging (detail mode must
-        observe every instruction of the real tail), and a port that
-        implements the tracking block. Returns whether probing is armed;
-        False always means "run the plain tail", never an error."""
-        if not self.early_exit:
-            return False
-        campaign = self._require_campaign()
-        if campaign.logging_mode == "detail":
-            return False
+        (so summary logging: detail mode must observe every instruction
+        of the real tail, and builds no store) with at least one golden
+        tick strictly after the last injection action and strictly
+        before the reference termination (otherwise there is no tail to
+        skip), and a port that implements the tracking block. Returns
+        the index of the first golden tick to probe, or None for "run
+        the plain tail" — never an error."""
         store = self._checkpoints
-        reference = getattr(self, "_reference", None)
-        if store is None or len(store) == 0 or reference is None:
-            return False
+        reference = self._reference
         actions = plan.sorted_actions()
-        if not actions:
-            return False
+        if not (self.early_exit and actions) or store is None or reference is None:
+            return None
         start = store.first_after(actions[-1].time)
         if start is None:
-            return False
+            return None
         if store.tick(start).cycle >= reference.duration_cycles:
-            return False
+            return None
         try:
             self.start_divergence_tracking()
         except NotImplementedByPort:
-            return False
-        return True
+            return None
+        return start
 
     def _finish_tail(
         self,
         result: ExperimentResult,
-        plan: InjectionPlan,
         termination: Optional[Termination],
-        probing: bool,
+        probe_from: Optional[int],
     ) -> None:
         """Complete a stop-and-inject experiment after its injection
-        loop: probe the divergence window when armed (replaying the
-        outcome of a state already seen), otherwise — or when probing
-        stays inconclusive — run the plain tail to termination. With
-        :attr:`memoize` on, the fingerprints the experiment missed on
-        are recorded against the outcome it reached."""
+        loop: probe the divergence window from golden tick
+        ``probe_from`` when armed (replaying the outcome of a state
+        already seen), otherwise — or when probing stays inconclusive —
+        run the plain tail to termination. The fingerprints the
+        experiment missed on are recorded against the outcome it
+        reached."""
         campaign = self._require_campaign()
         table: Optional[StateTable] = None
         probed: List[str] = []
-        if termination is None and probing:
+        if termination is None and probe_from is not None:
             assert self._reference is not None
             table = self._state_table()
-            window = run_window(self, plan, self._reference, table)
+            window = run_window(self, probe_from, self._reference, table)
             probed = window.probed
             if window.replay is not None:
                 window.replay.apply(result)
@@ -1126,7 +1116,7 @@ class FaultInjectionAlgorithms(abc.ABC):
     def _record_states(
         self, table: StateTable, probed: List[str], outcome: StateOutcome
     ) -> None:
-        if not self.memoize or not probed:
+        if not probed:
             return
         added = table.record(probed, outcome)
         obs = get_observability()
@@ -1135,9 +1125,9 @@ class FaultInjectionAlgorithms(abc.ABC):
 
     def _memo_table(self) -> Optional[OutcomeMemo]:
         """The campaign-scoped outcome memo, or None when memoization
-        does not apply (disabled, or detail mode — a replayed outcome
-        has no per-instruction states to drain)."""
-        if not self.memoize:
+        does not apply (early exit off, or detail mode — a replayed
+        outcome has no per-instruction states to drain)."""
+        if not self.early_exit:
             return None
         campaign = self._require_campaign()
         if campaign.logging_mode == "detail":
@@ -1145,27 +1135,6 @@ class FaultInjectionAlgorithms(abc.ABC):
         if self._memo is None:
             self._memo = OutcomeMemo()
         return self._memo
-
-    def _restore_digest(self, plan: InjectionPlan) -> Optional[str]:
-        """Fingerprint of the checkpoint this plan's experiment would
-        warm-restore, or None (= the cold sentinel) when the experiment
-        starts from reset — mirroring :meth:`_try_restore`'s eligibility
-        exactly, so the memo key names the true starting state."""
-        campaign = self._require_campaign()
-        store = self._checkpoints
-        if store is None or len(store) == 0:
-            return None
-        if not campaign.warm_start:
-            return None
-        if campaign.technique not in WARM_START_TECHNIQUES:
-            return None
-        actions = plan.sorted_actions()
-        if not actions:
-            return None
-        index = store.nearest_before(actions[0].time)
-        if index is None:
-            return None
-        return store.tick(index).fingerprint
 
     # ------------------------------------------------------------------
     # Equivalence collapsing (preinjection_mode="equivalence")
@@ -1181,7 +1150,7 @@ class FaultInjectionAlgorithms(abc.ABC):
         """
         return (
             self._equivalence is not None
-            and campaign.technique in EQUIVALENCE_TECHNIQUES
+            and campaign.technique in self.INJECT_BLOCKS
             and campaign.logging_mode != "detail"
         )
 

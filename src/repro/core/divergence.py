@@ -359,7 +359,7 @@ class WindowOutcome:
 
 def run_window(
     port: Any,
-    plan: Any,
+    start: int,
     reference: ReferenceRun,
     table: StateTable,
 ) -> WindowOutcome:
@@ -369,17 +369,12 @@ def run_window(
     ``wait_for_breakpoint`` building block (the same stop-at-cycle hop
     the injection loop uses — stop checks precede timeout checks, so
     splitting the tail into hops perturbs nothing) with the
-    ``capture_state_digest`` block. Every golden tick strictly after the
-    last injection action and strictly before the reference termination
-    is probed; the first fingerprint found in ``table`` wins."""
+    ``capture_state_digest`` block. Every golden tick from index
+    ``start`` (the first one strictly after the last injection action)
+    up to the reference termination is probed; the first fingerprint
+    found in ``table`` wins."""
     outcome = WindowOutcome()
-    actions = plan.sorted_actions()
-    if not actions:
-        return outcome
     store = table.store
-    start = store.first_after(actions[-1].time)
-    if start is None:
-        return outcome
     obs = get_observability()
     metrics = obs.metrics
     for index in range(start, len(store)):

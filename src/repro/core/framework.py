@@ -15,7 +15,7 @@ generate a fresh port skeleton (the Figure 3 source template).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Type
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Type
 
 from repro.core.algorithms import FaultInjectionAlgorithms
 from repro.core.campaign import CampaignData
@@ -72,15 +72,19 @@ def _stub(name: str) -> Callable:
         # Write your code here!   (Figure 3)
         raise NotImplementedByPort(type(self).__name__, name)
 
-    method.__name__ = name
-    method.__doc__ = f"Template stub for {name}(). Write your code here!"
-    method._is_framework_stub = True
-    return method
+    stub: Any = method
+    stub.__name__ = name
+    stub.__doc__ = f"Template stub for {name}(). Write your code here!"
+    stub._is_framework_stub = True
+    return stub
 
 
 class Framework(FaultInjectionAlgorithms):
     """``public class <FrameWork> extends FaultInjectionAlgorithms`` —
     every building block stubbed, ready to be filled in by a port."""
+
+    #: The registry name (set by :func:`register_target`).
+    target_name: ClassVar[str] = ""
 
 
 # Install the stubs programmatically so the block lists above are the
@@ -96,7 +100,7 @@ _ALL_BLOCKS = tuple(
 )
 for _name in _ALL_BLOCKS:
     setattr(Framework, _name, _stub(_name))
-Framework.__abstractmethods__ = frozenset()
+setattr(Framework, "__abstractmethods__", frozenset())  # noqa: B010
 
 
 def implemented_blocks(port_class: Type[Framework]) -> List[str]:
@@ -200,14 +204,18 @@ def available_targets() -> List[str]:
     return sorted(_TARGETS)
 
 
-def create_target(name: str, **kwargs) -> Framework:
+def create_target(name: str, **options) -> Framework:
+    """A fresh port for the registered target ``name``. ``options`` go
+    to its constructor: the port's own (e.g. ``config``) and the speed
+    options of :class:`~repro.core.algorithms.FaultInjectionAlgorithms`
+    (``early_exit``, ``verify_equivalence``, ``golden_cache``)."""
     _ensure_builtin_targets()
     cls = _TARGETS.get(name)
     if cls is None:
         raise ConfigurationError(
             f"unknown target {name!r}; available: {sorted(_TARGETS)}"
         )
-    return cls(**kwargs)
+    return cls(**options)
 
 
 def available_techniques() -> List[str]:
@@ -252,16 +260,19 @@ class TargetFactory:
         return f"TargetFactory({self.target_name!r}{extra})"
 
 
-def worker_factory(target_name: str, **kwargs) -> TargetFactory:
+def worker_factory(target_name: str, **options) -> TargetFactory:
     """A picklable zero-argument callable building a fresh port for
-    ``target_name`` — the ``factory`` argument of
+    ``target_name`` with :func:`create_target` ``options`` — the
+    ``factory`` argument of
     :class:`repro.core.parallel.ParallelCampaignController` and
-    :func:`repro.core.parallel.run_parallel_campaign`."""
+    :func:`repro.core.parallel.run_parallel_campaign`. The parent port
+    and every worker port are built from it, so they share the speed
+    options, e.g. ``worker_factory("thor-rd", early_exit=False)``."""
     if target_name not in available_targets():
         raise ConfigurationError(
             f"unknown target {target_name!r}; available: {available_targets()}"
         )
-    return TargetFactory(target_name, **kwargs)
+    return TargetFactory(target_name, **options)
 
 
 # ---------------------------------------------------------------------------

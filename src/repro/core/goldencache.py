@@ -75,8 +75,9 @@ def campaign_golden_key(campaign) -> str:
 
 class GoldenRunCache:
     """Directory of pickled :class:`GoldenRun` entries, one per config
-    hash. Attach to a port via ``port.golden_cache = GoldenRunCache(d)``
-    (the CLI's ``--golden-cache`` flag does exactly this)."""
+    hash. Give it to a port as its ``golden_cache`` option, e.g.
+    ``create_target(name, golden_cache=GoldenRunCache(d))`` (the CLI's
+    ``--golden-cache`` flag does exactly this)."""
 
     def __init__(self, root) -> None:
         self.root = Path(root)

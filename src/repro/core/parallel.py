@@ -115,23 +115,6 @@ class ParallelConfig:
     #: metric deltas). ``None`` inherits the process-global configuration
     #: (:func:`repro.observability.current_config`).
     observability: Optional[ObservabilityConfig] = None
-    #: Directory for the on-disk golden-run cache
-    #: (:class:`repro.core.goldencache.GoldenRunCache`): the parent's
-    #: reference run is loaded from / stored to it, keyed by the
-    #: campaign's config hash. ``None`` disables disk caching.
-    golden_cache_dir: Optional[str] = None
-    #: Fraction of statically-derived experiments (equivalence mode) that
-    #: are re-executed for real and compared against their derivation;
-    #: any divergence aborts the campaign.
-    verify_equivalence: float = 0.0
-    #: Divergence-window early exits + outcome memoization in workers
-    #: (the parallel face of ``goofi run --no-early-exit``). When on,
-    #: newly recorded memo entries ride each shard's ``"done"`` message
-    #: to the parent, which forwards the merged table to every worker on
-    #: dispatch — the same parent-side merge topology as the golden
-    #: cache, so a class of identical faults executes once campaign-wide
-    #: rather than once per worker.
-    early_exit: bool = True
 
     def validate(self) -> None:
         if self.n_workers < 1:
@@ -145,10 +128,6 @@ class ParallelConfig:
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
             raise CampaignError(
                 "ParallelConfig.timeout_seconds must be positive or None"
-            )
-        if not 0.0 <= self.verify_equivalence <= 1.0:
-            raise CampaignError(
-                "ParallelConfig.verify_equivalence must be in [0, 1]"
             )
 
     def context(self) -> Any:
@@ -188,7 +167,6 @@ def _worker_main(
     worker_id: int = 0,
     obs_config: Optional[ObservabilityConfig] = None,
     golden: Any = None,
-    port_options: Optional[Dict[str, Any]] = None,
 ) -> None:
     """Worker process entry point.
 
@@ -197,10 +175,8 @@ def _worker_main(
     serves ``("run", [indices], memo_rows, [verify])`` task messages
     until ``("quit",)``; the ``verify`` indices run with the outcome
     memo bypassed (see :meth:`FaultInjectionAlgorithms.
-    run_single_experiment`). ``port_options`` are plain
-    attribute overrides applied to the fresh port before the campaign
-    binds (``early_exit``/``memoize`` — the knobs that live on the
-    instance rather than in CampaignData).
+    run_single_experiment`). The port's speed options come with the
+    factory, the same ones the parent's port was built with.
 
     With observability enabled, the worker installs its *own* fresh
     instrumentation (a ``.workerN`` sibling trace file, an empty metrics
@@ -215,8 +191,6 @@ def _worker_main(
     try:
         campaign = CampaignData.from_json(campaign_json)
         port = factory()
-        for name, value in (port_options or {}).items():
-            setattr(port, name, value)
         reference = port.prepare_run(campaign, golden=golden)
         conn.send(("ready", _reference_fingerprint(reference)))
         while True:
@@ -375,7 +349,6 @@ class LocalWorkerHandle(WorkerHandle):
         worker_id: int = 0,
         obs_config: Optional[ObservabilityConfig] = None,
         golden: Any = None,
-        port_options: Optional[Dict[str, Any]] = None,
     ):
         super().__init__(worker_id)
         parent_conn, child_conn = context.Pipe(duplex=True)
@@ -389,7 +362,6 @@ class LocalWorkerHandle(WorkerHandle):
                 worker_id,
                 obs_config,
                 golden,
-                port_options,
             ),
             daemon=True,
         )
@@ -493,28 +465,22 @@ class _ParallelRun:
         self.order: List[int] = [
             i for i in range(campaign.n_experiments) if i not in skip
         ]
-        #: Dispatch queue of *units*: lists of indices that must land in
-        #: the same shard. Without equivalence collapsing every unit is a
-        #: single index; with it, a unit is one equivalence class's
-        #: executed members (representative + verify-sampled members), so
-        #: a class never spans shards.
-        self.queue: Deque[List[int]] = deque([i] for i in self.order)
+        #: Indices waiting for dispatch. With equivalence collapsing
+        #: only class representatives are queued up front.
+        self.queue: Deque[int] = deque(self.order)
         self.retry_queue: Deque[int] = deque()
         self.retries: Dict[int, int] = {}
         self.completed: Dict[int, ExperimentResult] = {}
         # -- equivalence collapsing (preinjection_mode="equivalence") --
         #: index -> InjectionPlan for every index in ``order``.
         self.plans: Optional[Dict[int, Any]] = None
-        #: representative index -> its derived member indices.
-        self._class_derived: Dict[int, List[int]] = {}
-        #: verify-sampled member index -> its representative index.
-        self._verify_members: Dict[int, int] = {}
-        #: verify member -> synthesized derived result (awaiting compare).
-        self._derived_results: Dict[int, ExperimentResult] = {}
-        #: verify member -> real result that arrived before its rep's.
-        self._verify_actual: Dict[int, ExperimentResult] = {}
-        #: representatives that terminally failed (members re-queued).
-        self._failed_reps: Set[int] = set()
+        #: representative index -> the other members of its class,
+        #: derived when the representative's result arrives.
+        self.members: Dict[int, List[int]] = {}
+        #: verify-sampled member -> its derivation, waiting for the
+        #: member's real result (the member is queued behind its
+        #: representative, so the derivation always exists first).
+        self.pending: Dict[int, ExperimentResult] = {}
         self.reported = 0
         self.batch: List[ExperimentResult] = []
         self.workers: List[WorkerHandle] = []
@@ -528,7 +494,7 @@ class _ParallelRun:
         #: via "done" messages; :meth:`_memo_rows_for` forwards the
         #: global insertion order to each worker through a per-worker
         #: cursor, so every worker eventually sees every entry exactly
-        #: once. None when early-exit/memoization is off, and for
+        #: once. None when early exit is off, and for
         #: serial runs (their port keeps its own memo).
         self.memo: Optional[OutcomeMemo] = None
         #: worker_id -> how far into the memo's insertion order that
@@ -633,20 +599,18 @@ class _ParallelRun:
         # Serialise *after* prepare_run: campaign binding resolves
         # trigger addresses and iteration limits that workers must share.
         self.campaign_json = self.campaign.to_json()
-        if self.port.memoize:
+        if self.port.early_exit:
             self.memo = OutcomeMemo()
         self._new_handle = self._local_handle
 
     def _prepare_equivalence(self, reference: Any) -> None:
-        """Partition the fault list and rebuild the dispatch queue as
-        class units.
+        """Partition the fault list and queue only the class
+        representatives.
 
         The parent plans every experiment (index-keyed substreams: the
-        workers re-derive identical plans), partitions the plans, and
-        enqueues one unit per class holding only the indices that must
-        *execute* — the representative plus any verify-sampled members.
-        The remaining members' results are synthesized in the parent as
-        each representative's result arrives."""
+        workers re-derive identical plans) and partitions the plans. The
+        other members' results are derived in the parent when their
+        representative's result arrives (:meth:`_accept_result`)."""
         port = self.port
         if not port._collapse_enabled(self.campaign):
             return
@@ -657,80 +621,39 @@ class _ParallelRun:
         partition = port._equivalence.partition(plans)
         port._record_partition_metrics(partition)
         self.plans = plans
-        units: List[List[int]] = []
         for cls in partition.classes:
-            unit = [cls.representative]
-            derived_members: List[int] = []
-            for member in cls.members[1:]:
-                derived_members.append(member)
-                if port._should_verify(member):
-                    self._verify_members[member] = cls.representative
-                    unit.append(member)
-            if derived_members:
-                self._class_derived[cls.representative] = derived_members
-            units.append(unit)
-        self.queue = deque(units)
+            if len(cls.members) > 1:
+                self.members[cls.representative] = list(cls.members[1:])
+        self.queue = deque(cls.representative for cls in partition.classes)
 
     def _accept_result(self, index: int, result: ExperimentResult) -> None:
-        """Fold one worker result into ``completed``, synthesizing and
-        verifying derived class members as needed."""
-        rep = self._verify_members.get(index)
-        if rep is not None:
-            if rep in self._failed_reps:
-                # No derivation exists to compare against: the real
-                # execution simply becomes the logged result.
-                self.completed[index] = result
-                return
-            derived = self._derived_results.pop(index, None)
-            if derived is None:
-                # Representative result not in yet (a retry reordered
-                # the shard) — park the real result until it is.
-                self._verify_actual[index] = result
-                return
+        """Fold one result into ``completed``.
+
+        A verify member's real result is checked against its waiting
+        derivation, which is what gets logged. A representative's
+        result derives the other members of its class; the
+        verify-sampled ones go to the front of the queue to execute for
+        real, their derivations waiting in :attr:`pending`."""
+        derived = self.pending.pop(index, None)
+        if derived is not None:
             self.port.check_derived_outcome(index, result, derived)
-            self.completed[index] = derived
-            return
+            result = derived
         self.completed[index] = result
-        if index in self._class_derived:
-            self._synthesize_class(index, result)
-
-    def _synthesize_class(
-        self, rep: int, rep_result: ExperimentResult
-    ) -> None:
-        assert self.plans is not None
-        for member in self._class_derived.get(rep, []):
-            derived = self.port._derive_result(
-                member, self.plans[member], rep_result
-            )
-            if member in self._verify_members:
-                actual = self._verify_actual.pop(member, None)
-                if actual is not None:
-                    self.port.check_derived_outcome(member, actual, derived)
-                    self.completed[member] = derived
-                elif member not in self.completed:
-                    self._derived_results[member] = derived
-                # A member already in completed terminally failed its
-                # real execution; the failure placeholder stands.
-            else:
-                self.completed[member] = derived
-
-    def _handle_rep_failure(self, rep: int) -> None:
-        """A class representative exhausted its retries: its members can
-        no longer be derived, so every remaining member re-queues as its
-        own singleton unit and executes for real."""
-        members = self._class_derived.pop(rep, None)
+        members = self.members.pop(index, None)
         if members is None:
             return
-        self._failed_reps.add(rep)
+        assert self.plans is not None
+        verify: List[int] = []
         for member in members:
-            if member in self._verify_members:
-                # Already dispatched for real execution in the class
-                # unit; its result now simply gets logged directly.
-                actual = self._verify_actual.pop(member, None)
-                if actual is not None:
-                    self.completed[member] = actual
+            derived = self.port._derive_result(
+                member, self.plans[member], result
+            )
+            if self.port._should_verify(member):
+                self.pending[member] = derived
+                verify.append(member)
             else:
-                self.queue.append([member])
+                self.completed[member] = derived
+        self.queue.extendleft(reversed(verify))
 
     def _spawn_worker(self) -> WorkerHandle:
         worker_id = self._next_worker_id
@@ -746,10 +669,6 @@ class _ParallelRun:
             worker_id=worker_id,
             obs_config=self.obs_config,
             golden=self.golden,
-            port_options={
-                "early_exit": self.port.early_exit,
-                "memoize": self.port.memoize,
-            },
         )
 
     # -- event loop --------------------------------------------------------
@@ -830,7 +749,7 @@ class _ParallelRun:
                 shard,
                 self.config.timeout_seconds,
                 memo_rows=self._memo_rows_for(worker),
-                verify=[i for i in shard if i in self._verify_members],
+                verify=[i for i in shard if i in self.pending],
             )
 
     def _memo_rows_for(
@@ -851,10 +770,7 @@ class _ParallelRun:
             if self.retry_queue:
                 shard.append(self.retry_queue.popleft())
             elif self.queue:
-                # A unit (equivalence class) is never split across
-                # shards; a large class may push the shard past
-                # shard_size, which is harmless.
-                shard.extend(self.queue.popleft())
+                shard.append(self.queue.popleft())
             else:
                 break
         return shard
@@ -998,10 +914,12 @@ class _ParallelRun:
                 attempts=attempts + 1,
             )
         self.completed[index] = self._failure_result(index, reason, attempts)
-        # A failed verify member cannot be compared; its failure
-        # placeholder is logged and the parked derivation dropped.
-        self._derived_results.pop(index, None)
-        self._handle_rep_failure(index)
+        # A failed verify member cannot be compared: its failure
+        # placeholder is logged instead of its derivation. A failed
+        # representative derives nothing: the other members of its
+        # class run as ordinary experiments.
+        self.pending.pop(index, None)
+        self.queue.extend(self.members.pop(index, ()))
 
     def _failure_result(
         self, index: int, reason: str, attempts: int
@@ -1123,10 +1041,10 @@ def run_parallel_campaign(
     same sink protocol, same control hooks (``checkpoint`` / ``report``),
     same ``skip_indices`` resume contract, same return value. ``factory``
     must be a picklable zero-argument callable building a fresh port —
-    use :func:`repro.core.framework.worker_factory`. The parent builds
-    one port from it too (reference run, planning, derivation) and
-    copies the config's port knobs onto it; workers take theirs from
-    the parent's port."""
+    use :func:`repro.core.framework.worker_factory`, which also carries
+    the port's speed options. The parent builds one port from it too
+    (reference run, planning, derivation), so the parent and every
+    worker run with the same options."""
     config = config if config is not None else ParallelConfig()
     config.validate()
     port = factory()
@@ -1134,13 +1052,6 @@ def run_parallel_campaign(
         raise CampaignError(
             "worker factory must build a FaultInjectionAlgorithms port"
         )
-    port.verify_equivalence = config.verify_equivalence
-    port.early_exit = config.early_exit
-    port.memoize = config.early_exit
-    if config.golden_cache_dir is not None:
-        from repro.core.goldencache import GoldenRunCache
-
-        port.golden_cache = GoldenRunCache(config.golden_cache_dir)
     run = _ParallelRun(
         campaign, port, sink, control, config, skip_indices, factory
     )

@@ -14,7 +14,7 @@ import hashlib
 import pickle
 import re
 from array import array
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.campaign import CampaignData
 from repro.core.checkpoint import (
@@ -191,8 +191,8 @@ def _termination_from_event(event: DebugEvent) -> Termination:
 class ThorRDInterface(Framework):
     """Port of GOOFI to the Thor RD test card (simulated)."""
 
-    def __init__(self, config: Optional[CpuConfig] = None):
-        super().__init__()
+    def __init__(self, config: Optional[CpuConfig] = None, **options: Any):
+        super().__init__(**options)
         self.card = TestCard(config)
         self._workload: Optional[WorkloadDefinition] = None
         self._environment = None

@@ -105,18 +105,21 @@ def build_controller(
     the fabric's byte-identity guarantee rides on the serial-vs-parallel
     determinism contract that machinery is property-tested for."""
     from repro.core.framework import worker_factory
+    from repro.core.goldencache import GoldenRunCache
 
     campaign = record.spec.campaign
+    golden_cache = None
+    if config.golden_cache_dir is not None and record.spec.use_golden_cache:
+        golden_cache = GoldenRunCache(config.golden_cache_dir)
     parallel = ParallelConfig(
         n_workers=granted,
         shard_size=config.shard_size,
         start_method=config.start_method,
-        golden_cache_dir=(
-            config.golden_cache_dir if record.spec.use_golden_cache else None
-        ),
     )
     controller = ParallelCampaignController(
-        worker_factory(campaign.target_name), sink=sink, config=parallel
+        worker_factory(campaign.target_name, golden_cache=golden_cache),
+        sink=sink,
+        config=parallel,
     )
     # RunMeta rows of fabric runs carry the job id and tenant, so the
     # provenance chain reaches from an experiment row through RunMeta to

@@ -11,7 +11,7 @@ asking for the other techniques — the Section 2 adaptation contract.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.campaign import CampaignData
 from repro.core.experiment import Injection, StateVector, Termination
@@ -34,8 +34,8 @@ class TsmInterface(Framework):
     """Port of GOOFI to the TSM-1 stack machine (SCIFI + pre-runtime
     SWIFI only)."""
 
-    def __init__(self, config: Optional[TsmConfig] = None):
-        super().__init__()
+    def __init__(self, config: Optional[TsmConfig] = None, **options: Any):
+        super().__init__(**options)
         self.board = TsmBoard(config)
         self._workload: Optional[TsmWorkload] = None
         self._space: Optional[LocationSpace] = None

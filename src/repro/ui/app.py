@@ -395,23 +395,17 @@ def _cmd_run(args) -> int:
             )
         with GoofiDatabase(args.db) as db:
             campaign = db.load_campaign(args.campaign)
-            target = create_target(campaign.target_name)
-            golden_dir = getattr(args, "golden_cache", None)
-            if golden_dir:
+            golden_cache = None
+            if args.golden_cache:
                 from repro.core.goldencache import GoldenRunCache
 
-                target.golden_cache = GoldenRunCache(golden_dir)
-            verify = getattr(args, "verify_equivalence", 0.0) or 0.0
-            if not 0.0 <= verify <= 1.0:
-                print(
-                    "goofi: error: --verify-equivalence must be in [0, 1]",
-                    file=sys.stderr,
-                )
-                return 1
-            target.verify_equivalence = verify
-            if getattr(args, "no_early_exit", False):
-                target.early_exit = False
-                target.memoize = False
+                golden_cache = GoldenRunCache(args.golden_cache)
+            target = create_target(
+                campaign.target_name,
+                early_exit=not args.no_early_exit,
+                verify_equivalence=args.verify_equivalence,
+                golden_cache=golden_cache,
+            )
             controller = CampaignController(target, sink=db)
             window = ProgressWindow(
                 controller, stream=None if args.quiet else sys.stdout

@@ -202,7 +202,6 @@ class TestDivergenceWindow:
         def leg(early):
             target = create_target("thor-rd")
             target.early_exit = early
-            target.memoize = early
             campaign = _late_trigger_campaign("div-leg", duration)
             return _rows(target.run_campaign(campaign))
 
@@ -235,7 +234,6 @@ class TestDivergenceWindow:
         try:
             target = create_target("thor-rd")
             target.early_exit = False
-            target.memoize = False
             target.run_campaign(campaign)
             counters = get_observability().metrics.snapshot()["counters"]
         finally:
@@ -401,7 +399,6 @@ class TestWarmRestoreBoundary:
             target = create_target("thor-rd")
             if not warm:
                 target.early_exit = False
-                target.memoize = False
             sink = target.run_campaign(
                 campaign.modified(warm_start=warm)
             )
@@ -474,12 +471,11 @@ class TestParallelMemoSharing:
         def parallel():
             return run_parallel_campaign(
                 campaign,
-                worker_factory("thor-rd"),
+                worker_factory("thor-rd", verify_equivalence=1.0),
                 config=ParallelConfig(
                     n_workers=2,
                     shard_size=2,
                     start_method="fork",
-                    verify_equivalence=1.0,
                 ),
             )
 
@@ -498,6 +494,9 @@ class TestParallelMemoSharing:
             assert all(memo == 0 for _, memo in verified)
 
     def test_early_exit_off_propagates_to_workers(self):
+        """The factory's options reach every worker port: with
+        ``early_exit=False`` no worker probes at all, while the default
+        factory's workers do (so the zero is not vacuous)."""
         from repro.core.framework import worker_factory
         from repro.core.parallel import ParallelConfig, run_parallel_campaign
 
@@ -505,14 +504,29 @@ class TestParallelMemoSharing:
         campaign = _late_trigger_campaign(
             "memo-par-off", duration, n_experiments=4
         )
-        sink = run_parallel_campaign(
-            campaign,
-            worker_factory("thor-rd"),
-            config=ParallelConfig(
-                n_workers=2, shard_size=2, early_exit=False
-            ),
-        )
-        assert len(sink.results) == 4
+
+        def worker_probes(factory):
+            configure(metrics=True)
+            try:
+                sink = run_parallel_campaign(
+                    campaign,
+                    factory,
+                    config=ParallelConfig(
+                        n_workers=2, shard_size=2, start_method="fork"
+                    ),
+                )
+                counters = get_observability().metrics.snapshot()["counters"]
+            finally:
+                disable()
+            assert len(sink.results) == 4
+            return sum(
+                value for name, value in counters.items()
+                if name.startswith("worker")
+                and name.endswith(".divergence.probes")
+            )
+
+        assert worker_probes(worker_factory("thor-rd", early_exit=False)) == 0
+        assert worker_probes(worker_factory("thor-rd")) > 0
 
 
 class TestMemoReplayOrder:

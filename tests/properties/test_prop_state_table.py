@@ -4,8 +4,8 @@ With early exit and memoization on, an experiment probes its faulty
 state at every golden tick after its last injection and replays the
 outcome of any state the golden run or an earlier experiment already
 reached. The logged rows must be exactly the rows of the plain path
-(``early_exit=False``, ``memoize=False``: every experiment simulated to
-termination), as ``canonical_rows_payload`` serialises them.
+(``early_exit=False``: every experiment simulated to termination, no
+memo), as ``canonical_rows_payload`` serialises them.
 
 Hypothesis drives the workload, the trigger (time-uniform or one fixed
 instant, early enough to land before the first golden tick), the fault
@@ -86,19 +86,17 @@ def _rows(campaign, accelerated, parallel=False):
         if parallel:
             run_parallel_campaign(
                 campaign,
-                worker_factory("thor-rd"),
+                worker_factory("thor-rd", early_exit=accelerated),
                 sink=db,
                 config=ParallelConfig(
                     n_workers=2,
                     shard_size=3,
                     start_method="fork",
-                    early_exit=accelerated,
                 ),
             )
         else:
             target = create_target("thor-rd")
             target.early_exit = accelerated
-            target.memoize = accelerated
             target.run_campaign(campaign, sink=db)
         return canonical_rows_payload(db, campaign.campaign_name)
     finally:
@@ -154,24 +152,3 @@ def test_state_hits_occur_and_stay_identical():
     assert counters.get("divergence.state_entries", 0) > 0
     assert fast == _rows(campaign, accelerated=False)
 
-
-def test_memoize_off_records_no_faulty_states():
-    """``memoize`` gates recording: with it off only golden ticks are in
-    the table, so no faulty-state hit can happen."""
-    campaign = _campaign(
-        {"workload": "bubblesort", "fault_model": "single",
-         "fixed_time": None, "seed": 11},
-        n_experiments=30,
-    )
-    configure(metrics=True)
-    try:
-        target = create_target("thor-rd")
-        target.memoize = False
-        target.run_campaign(campaign)
-        counters = get_observability().metrics.snapshot()["counters"]
-    finally:
-        disable()
-    assert counters.get("divergence.probes", 0) > 0
-    assert counters.get("divergence.state_hits", 0) == 0
-    assert counters.get("divergence.state_entries", 0) == 0
-    assert target._states.recorded == 0

@@ -68,7 +68,6 @@ def _run(shape, warm, plain=False):
         # The paper's unaccelerated Figure-2 tail: no divergence-window
         # early exits, no outcome memo (goofi run --no-early-exit).
         target.early_exit = False
-        target.memoize = False
     sink = target.run_campaign(campaign)
     return _canonical(sink), target
 
