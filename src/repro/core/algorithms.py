@@ -202,19 +202,21 @@ class FaultInjectionAlgorithms(abc.ABC):
     @abc.abstractmethod
     def read_scan_chain(
         self, names: Optional[Sequence[str]] = None
-    ) -> Dict[str, List[int]]:
-        """Shift out scan chains (chain name -> bit list). ``names``
+    ) -> Dict[str, int]:
+        """Shift out scan chains (chain name -> chain image, one int
+        whose bit *i* is chain bit *i*). ``names``
         restricts the shift to the listed chains — the default SCIFI
         fast path only round-trips the chains an action touches; None
         (or ``campaign.full_scan_shift``) shifts every chain."""
 
     @abc.abstractmethod
-    def inject_fault(self, chains: Dict[str, List[int]], action) -> List[Injection]:
-        """Manipulate the chain image according to one injection action."""
+    def inject_fault(self, chains: Dict[str, int], action) -> List[Injection]:
+        """Apply one injection action to the chain images, replacing the
+        edited entries of ``chains`` (chain name -> image)."""
 
     @abc.abstractmethod
-    def write_scan_chain(self, chains: Dict[str, List[int]]) -> None:
-        """Shift the (possibly fault-injected) chains back in."""
+    def write_scan_chain(self, chains: Dict[str, int]) -> None:
+        """Shift the (possibly fault-injected) chain images back in."""
 
     @abc.abstractmethod
     def wait_for_termination(

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import Any, Callable, Dict, List, Sequence
 
+from repro.core.experiment import Injection
 from repro.core.locations import FaultLocation
-from repro.util.errors import ConfigurationError
+from repro.util.errors import CampaignError, ConfigurationError
 
 OP_FLIP = "flip"
 OP_STUCK0 = "stuck0"
@@ -204,3 +205,35 @@ def apply_op(value_bit: int, op: str) -> int:
     if op == OP_STUCK1:
         return 1
     raise ConfigurationError(f"unknown injection op {op!r}")
+
+
+def inject_scan_images(
+    chain_of: Callable[[str], Any],
+    chains: Dict[str, int],
+    action: InjectionAction,
+) -> List[Injection]:
+    """SCIFI's inject block over shifted-out chain images: apply
+    ``action`` to ``chains`` (chain name -> image, each edited image
+    replacing its entry) through the flip helper of the chain
+    ``chain_of(name)`` returns."""
+    injections = []
+    for location in action.locations:
+        if not location.space.startswith("scan:"):
+            raise CampaignError(f"SCIFI cannot inject into {location.key()}")
+        name = location.space.split(":", 1)[1]
+        flipped, before = chain_of(name).flip(
+            chains[name], location.path, location.bit
+        )
+        after = apply_op(before, action.op)
+        if after != before:
+            chains[name] = flipped
+        injections.append(
+            Injection(
+                time=action.time,
+                location=location,
+                op=action.op,
+                bit_before=before,
+                bit_after=after,
+            )
+        )
+    return injections

@@ -85,11 +85,6 @@ __all__ = [
 
 #: Poll interval of the parent event loop (also the pause/stop latency).
 _POLL_SECONDS = 0.05
-#: How long the first dispatch waits for every spawned worker to report
-#: ready. Workers start together, but the first one ready would otherwise
-#: take every shard of a short campaign of fast experiments before the
-#: next one has finished starting.
-_START_GRACE_SECONDS = 1.0
 
 
 @dataclass
@@ -508,9 +503,15 @@ class _ParallelRun:
             else current_config()
         )
         self._next_worker_id = 0
-        #: Until this instant (set when the workers spawn), dispatch
-        #: waits for every live worker to report ready; None afterwards.
-        self._start_deadline: Optional[float] = None
+        #: Shards sent to each worker by id while the first workers are
+        #: starting; None once each of them is ready or dead. Workers
+        #: start together, but the first one ready would otherwise take
+        #: every shard of a short campaign of fast experiments before the
+        #: next one has finished starting, so until then a ready worker
+        #: takes at most ``_fair_shards``. Replacements spawned later
+        #: never hold the pool back.
+        self._start_sent: Optional[Dict[int, int]] = None
+        self._fair_shards = 0
         # Health monitoring: reuse the controller's monitor when running
         # under a CampaignController (it already called begin()); as a
         # bare run with observability on, install a fresh one so the
@@ -569,7 +570,9 @@ class _ParallelRun:
         self.obs.flush()
         try:
             self.workers = [self._spawn_worker() for _ in range(n_workers)]
-            self._start_deadline = time.perf_counter() + _START_GRACE_SECONDS
+            self._start_sent = {worker.worker_id: 0 for worker in self.workers}
+            n_shards = -(-len(self.queue) // self.config.shard_size)
+            self._fair_shards = -(-n_shards // n_workers)
             try:
                 self._event_loop()
                 self._await_worker_done()
@@ -732,16 +735,19 @@ class _ParallelRun:
         self.control.checkpoint(next_index)
 
     def _dispatch_ready(self) -> None:
-        if self._start_deadline is not None:
-            starting = any(
-                not worker.ready and not worker.dead for worker in self.workers
-            )
-            if starting and time.perf_counter() < self._start_deadline:
-                return
-            self._start_deadline = None
+        sent = self._start_sent
+        if sent is not None and not any(
+            worker.worker_id in sent and not worker.ready and not worker.dead
+            for worker in self.workers
+        ):
+            sent = self._start_sent = None
         for worker in self.workers:
             if not worker.idle:
                 continue
+            if sent is not None:
+                if sent.get(worker.worker_id, 0) >= self._fair_shards:
+                    continue
+                sent[worker.worker_id] = sent.get(worker.worker_id, 0) + 1
             shard = self._next_shard()
             if not shard:
                 return

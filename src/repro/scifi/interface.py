@@ -23,17 +23,22 @@ from repro.core.checkpoint import (
     RestoreImage,
 )
 from repro.core.experiment import Injection, StateVector, Termination
-from repro.core.faultmodels import InjectionAction, InjectionPlan, apply_op
+from repro.core.faultmodels import (
+    InjectionAction,
+    InjectionPlan,
+    apply_op,
+    inject_scan_images,
+)
 from repro.core.framework import Framework, register_target
 from repro.core.locations import FaultLocation, LocationCell, LocationSpace
 from repro.core.trace import Trace, TraceStep
-from repro.environment.simulator import build_environment
+from repro.environment.simulator import EnvironmentSimulator, build_environment
 from repro.swifi.instrument import TrapInstrumenter, _invalidate_cached_word
 from repro.swifi.preruntime import flip_image_bit
 from repro.thor import isa
 from repro.thor.cpu import Cpu, CpuConfig
-from repro.thor.isa import Opcode, try_decode
 from repro.thor.effects import register_effects
+from repro.thor.isa import Opcode, try_decode
 from repro.thor.testcard import DebugEvent, DebugEventKind, TestCard
 from repro.thor.traps import Trap
 from repro.util.bits import bit_get, bit_set
@@ -174,8 +179,8 @@ def _termination_from_event(event: DebugEvent) -> Termination:
             cycle=event.cycle,
             iterations=event.iteration,
         )
-    if event.kind is DebugEventKind.TRAP:
-        trap = event.trap
+    trap = event.trap
+    if event.kind is DebugEventKind.TRAP and trap is not None:
         return Termination(
             kind="trap",
             pc=event.pc,
@@ -195,7 +200,7 @@ class ThorRDInterface(Framework):
         super().__init__(**options)
         self.card = TestCard(config)
         self._workload: Optional[WorkloadDefinition] = None
-        self._environment = None
+        self._environment: Optional[EnvironmentSimulator] = None
         # Tracing state.
         self._tracing = False
         self._trace = Trace()
@@ -298,8 +303,8 @@ class ThorRDInterface(Framework):
                 for i, value in enumerate(values):
                     outputs[f"{name}[{i}]"] = value
         if self._environment is not None:
-            for key, value in self._environment.summary().items():
-                outputs[f"env.{key}"] = int(round(value * 256))
+            for key, reading in self._environment.summary().items():
+                outputs[f"env.{key}"] = int(round(reading * 256))
         return outputs
 
     def run_workload(self) -> None:
@@ -337,39 +342,18 @@ class ThorRDInterface(Framework):
 
     def read_scan_chain(
         self, names: Optional[Sequence[str]] = None
-    ) -> Dict[str, List[int]]:
+    ) -> Dict[str, int]:
         chain_names = self.card.chains if names is None else names
         return {name: self.card.read_chain(name) for name in chain_names}
 
-    def write_scan_chain(self, chains: Dict[str, List[int]]) -> None:
-        for name, bits in chains.items():
-            self.card.write_chain(name, bits)
+    def write_scan_chain(self, chains: Dict[str, int]) -> None:
+        for name, image in chains.items():
+            self.card.write_chain(name, image)
 
     def inject_fault(
-        self, chains: Dict[str, List[int]], action: InjectionAction
+        self, chains: Dict[str, int], action: InjectionAction
     ) -> List[Injection]:
-        injections = []
-        for location in action.locations:
-            if not location.space.startswith("scan:"):
-                raise CampaignError(
-                    f"SCIFI cannot inject into {location.key()}"
-                )
-            chain_name = location.space.split(":", 1)[1]
-            chain = self.card.chain(chain_name)
-            offset = chain.bit_offset(location.path, location.bit)
-            before = chains[chain_name][offset]
-            after = apply_op(before, action.op)
-            chains[chain_name][offset] = after
-            injections.append(
-                Injection(
-                    time=action.time,
-                    location=location,
-                    op=action.op,
-                    bit_before=before,
-                    bit_after=after,
-                )
-            )
-        return injections
+        return inject_scan_images(self.card.chain, chains, action)
 
     # ------------------------------------------------------------------
     # Pre-runtime SWIFI block
@@ -457,16 +441,14 @@ class ThorRDInterface(Framework):
         # Shift the armed force state in through the boundary chain (the
         # injection pays real scan-access cost, like any SCIFI write).
         chain = self.card.chain("boundary")
-        bits = self.card.read_chain("boundary")
-        for path, field_value, width in (
-            ("pins.force_mask", mask, 32),
-            ("pins.force_value", value, 32),
-            ("pins.force_reads", min(reads, 255), 8),
+        image = self.card.read_chain("boundary")
+        for path, field_value in (
+            ("pins.force_mask", mask),
+            ("pins.force_value", value),
+            ("pins.force_reads", min(reads, 255)),
         ):
-            offset = chain.bit_offset(path, 0)
-            for i in range(width):
-                bits[offset + i] = (field_value >> i) & 1
-        self.card.write_chain("boundary", bits)
+            image = chain.with_cell_value(image, path, field_value)
+        self.card.write_chain("boundary", image)
         return injections
 
     # ------------------------------------------------------------------
@@ -479,7 +461,7 @@ class ThorRDInterface(Framework):
             if location.space.startswith("scan:"):
                 chain_name = location.space.split(":", 1)[1]
                 cell = self.card.chain(chain_name).cell(location.path)
-                if cell.read_only:
+                if cell.writer is None:
                     raise CampaignError(
                         f"cannot inject into read-only cell {location.key()}"
                     )
@@ -567,19 +549,15 @@ class ThorRDInterface(Framework):
 
     def capture_state_vector(self) -> StateVector:
         vector: StateVector = {}
-        chain_bits: Dict[str, List[int]] = {}
+        images: Dict[str, int] = {}
         for cell in self._observe_cells:
             if cell.space.startswith("scan:"):
                 chain_name = cell.space.split(":", 1)[1]
-                if chain_name not in chain_bits:
-                    chain_bits[chain_name] = self.card.read_chain(chain_name)
-                chain = self.card.chain(chain_name)
-                offset = chain.bit_offset(cell.path, 0)
-                bits = chain_bits[chain_name][offset : offset + cell.width]
-                value = 0
-                for i, bit in enumerate(bits):
-                    value |= bit << i
-                vector[cell.full_path] = value
+                if chain_name not in images:
+                    images[chain_name] = self.card.read_chain(chain_name)
+                vector[cell.full_path] = self.card.chain(chain_name).cell_value(
+                    images[chain_name], cell.path
+                )
             elif cell.space.startswith("memory:"):
                 address = int(cell.path.split("0x", 1)[1], 16)
                 vector[cell.full_path] = self.card.read_memory(address)

@@ -10,6 +10,13 @@ read-only and can therefore only be used to observe the state of the
 microprocessor" (paper Section 3.1) — writes to them are silently dropped
 by the hardware, and the campaign layer refuses to *target* them.
 
+A chain image — what one shift moves out or in — is a single
+non-negative ``int`` whose bit *i* is chain bit *i*; each cell occupies
+``width`` bits from its offset, LSB first. This module is the only one
+that knows that layout: callers look inside an image through
+:meth:`ScanChain.cell_value`, :meth:`ScanChain.with_cell_value` and
+:meth:`ScanChain.flip`.
+
 Chain access is modelled with its real cost: shifting a chain in or out
 takes one clock per bit, surfaced as :attr:`ScanChain.shift_cycles` and an
 operation counter, which the E1/E2 benchmarks use.
@@ -17,8 +24,8 @@ operation counter, which the E1/E2 benchmarks use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.thor.cpu import Cpu
 from repro.thor.traps import Trap
@@ -26,20 +33,6 @@ from repro.util.errors import TargetError
 
 # Fixed encoding of the trap-status scan cell (0 = no trap latched).
 _TRAP_CODES = {trap: index + 1 for index, trap in enumerate(Trap)}
-
-# Byte-granular shift tables: full-chain reads and writes move 8 bits
-# per table access instead of one Python-level mask/shift per bit (the
-# chains are ~4.6 Kbit and every SCIFI experiment shifts them three
-# times, so per-bit loops were a measurable campaign cost).
-_BITS_OF_BYTE: Tuple[Tuple[int, ...], ...] = tuple(
-    tuple((value >> i) & 1 for i in range(8)) for value in range(256)
-)
-# Inverse table. Bit lists that went through injection may hold bools
-# (``apply_op`` results); True/False hash as 1/0, so tuple lookup treats
-# them identically — exactly like the former per-bit ``bit << i`` packing.
-_BYTE_OF_BITS: Dict[Tuple[int, ...], int] = {
-    bits: value for value, bits in enumerate(_BITS_OF_BYTE)
-}
 
 
 @dataclass
@@ -65,6 +58,10 @@ class _CellSlot:
     cell: ScanCell
     offset: int
 
+    @property
+    def mask(self) -> int:
+        return (1 << self.cell.width) - 1
+
 
 class ScanChain:
     """An ordered chain of scan cells with serialized read/write access."""
@@ -82,6 +79,16 @@ class ScanChain:
             self._by_path[cell.path] = slot
             offset += cell.width
         self.total_bits = offset
+        # Flat per-cell tuples for the shift loops.
+        self._read_plan = [
+            (slot.cell.reader, slot.cell.width, slot.offset)
+            for slot in self._slots
+        ]
+        self._write_plan = [
+            (slot.cell.reader, slot.cell.writer, slot.mask, slot.offset)
+            for slot in self._slots
+            if slot.cell.writer is not None
+        ]
         self.reads = 0
         self.writes = 0
 
@@ -92,36 +99,22 @@ class ScanChain:
         """Clock cycles needed to shift the full chain in or out."""
         return self.total_bits
 
-    def read(self) -> List[int]:
-        """Shift out the full chain as a bit list (chain order, LSB-first
-        within each cell). Cells expand eight bits per table access."""
+    def read(self) -> int:
+        """Shift out the full chain as one image (bit *i* = chain bit
+        *i*). A cell value that does not fit its width raises
+        ``ValueError``."""
         self.reads += 1
-        bits: List[int] = []
-        append = bits.append
-        extend = bits.extend
-        table = _BITS_OF_BYTE
-        for slot in self._slots:
-            cell = slot.cell
-            value = cell.reader()
-            width = cell.width
-            if width == 1:
-                if value >> 1:
-                    raise ValueError(f"value {value:#x} does not fit in 1 bits")
-                append(value)
-                continue
+        image = 0
+        for reader, width, offset in self._read_plan:
+            value = reader()
             if value < 0 or value >> width:
                 raise ValueError(
                     f"value {value:#x} does not fit in {width} bits"
                 )
-            while width >= 8:
-                extend(table[value & 0xFF])
-                value >>= 8
-                width -= 8
-            if width:
-                extend(table[value][:width])
-        return bits
+            image |= value << offset
+        return image
 
-    def write(self, bits: List[int]) -> None:
+    def write(self, image: int) -> None:
         """Shift in a full chain image.
 
         Read-only cells ignore their bits, exactly as capture-only cells
@@ -131,73 +124,56 @@ class ScanChain:
         flipped bits — in particular it must not mark the IR latch as
         forced when the IR bits were not touched.
         """
-        if len(bits) != self.total_bits:
+        if image < 0 or image >> self.total_bits:
             raise TargetError(
-                f"chain {self.name!r} expects {self.total_bits} bits, "
-                f"got {len(bits)}"
+                f"chain {self.name!r} takes a non-negative image of at "
+                f"most {self.total_bits} bits"
             )
         self.writes += 1
-        table = _BYTE_OF_BITS
-        for slot in self._slots:
-            cell = slot.cell
-            if cell.writer is None:
-                continue
-            width = cell.width
-            pos = slot.offset
-            if width == 1:
-                bit = bits[pos]
-                if bit not in (0, 1):
-                    raise ValueError(f"bit {pos} must be 0 or 1, got {bit}")
-                value = bit & 1
-            else:
-                end = pos + width
-                value = 0
-                shift = 0
-                try:
-                    while width >= 8:
-                        value |= table[tuple(bits[pos : pos + 8])] << shift
-                        pos += 8
-                        shift += 8
-                        width -= 8
-                    if width:
-                        residual = tuple(bits[pos:end]) + (0,) * (8 - width)
-                        value |= table[residual] << shift
-                except KeyError:
-                    raise ValueError(
-                        f"chain {self.name!r}: non-binary bits for cell "
-                        f"{cell.path!r}"
-                    ) from None
-            if value != cell.reader():
-                cell.writer(value)
+        for reader, writer, mask, offset in self._write_plan:
+            value = (image >> offset) & mask
+            if value != reader():
+                writer(value)
 
-    # -- checkpoint support ---------------------------------------------------
+    # -- image access (host-side edits between a read and a write) ------------
 
-    def capture_values(self) -> List[Tuple[str, int]]:
-        """Raw ``(path, value)`` pairs of every cell, **without** shift
-        accounting — host-side bookkeeping, not a TAP access, so it must
-        not perturb the scan cycle counters the E1/E2 benchmarks
-        measure."""
-        return [(slot.cell.path, slot.cell.reader()) for slot in self._slots]
+    def cell_value(self, image: int, path: str) -> int:
+        """Value of cell ``path`` inside chain image ``image``."""
+        slot = self._slot(path)
+        return (image >> slot.offset) & slot.mask
+
+    def with_cell_value(self, image: int, path: str, value: int) -> int:
+        """``image`` with cell ``path`` set to ``value``."""
+        slot = self._slot(path)
+        if value < 0 or value >> slot.cell.width:
+            raise ValueError(
+                f"value {value:#x} does not fit in {slot.cell.width} bits"
+            )
+        return (image & ~(slot.mask << slot.offset)) | (value << slot.offset)
+
+    def flip(self, image: int, path: str, bit: int) -> Tuple[int, int]:
+        """``image`` with bit ``bit`` of cell ``path`` inverted, and the
+        value (0 or 1) that bit has in ``image``."""
+        offset = self.bit_offset(path, bit)
+        return image ^ (1 << offset), (image >> offset) & 1
 
     # -- structural queries (used by campaign set-up and the GUI) -------------
 
     def cells(self) -> List[ScanCell]:
         return [slot.cell for slot in self._slots]
 
-    def cell(self, path: str) -> ScanCell:
+    def _slot(self, path: str) -> _CellSlot:
         slot = self._by_path.get(path)
         if slot is None:
             raise TargetError(f"no scan cell {path!r} on chain {self.name!r}")
-        return slot.cell
+        return slot
 
-    def has_cell(self, path: str) -> bool:
-        return path in self._by_path
+    def cell(self, path: str) -> ScanCell:
+        return self._slot(path).cell
 
     def bit_offset(self, path: str, bit: int) -> int:
         """Global chain-bit position of ``bit`` within cell ``path``."""
-        slot = self._by_path.get(path)
-        if slot is None:
-            raise TargetError(f"no scan cell {path!r} on chain {self.name!r}")
+        slot = self._slot(path)
         if not 0 <= bit < slot.cell.width:
             raise TargetError(
                 f"bit {bit} out of range for cell {path!r} "
@@ -214,7 +190,7 @@ class ScanChain:
                 return slot.cell.path, global_bit - slot.offset
         raise TargetError(f"chain bit {global_bit} unmapped")  # pragma: no cover
 
-    def describe(self) -> List[Dict[str, object]]:
+    def describe(self) -> List[Dict[str, Any]]:
         """Structural description for the configuration window (Figure 5)
         and the TargetSystemData database table."""
         return [

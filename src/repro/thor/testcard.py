@@ -123,15 +123,15 @@ class TestCard:
             raise TargetError(f"no scan chain {name!r} on card {self.name!r}")
         return chain
 
-    def read_chain(self, name: str) -> List[int]:
+    def read_chain(self, name: str) -> int:
         chain = self.chain(name)
         self.total_scan_cycles += chain.shift_cycles
         return chain.read()
 
-    def write_chain(self, name: str, bits: List[int]) -> None:
+    def write_chain(self, name: str, image: int) -> None:
         chain = self.chain(name)
         self.total_scan_cycles += chain.shift_cycles
-        chain.write(bits)
+        chain.write(image)
 
     # -- breakpoints ----------------------------------------------------------
 

@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.campaign import CampaignData
 from repro.core.experiment import Injection, StateVector, Termination
-from repro.core.faultmodels import InjectionAction, apply_op
+from repro.core.faultmodels import InjectionAction, apply_op, inject_scan_images
 from repro.core.framework import Framework, register_target
 from repro.core.locations import FaultLocation, LocationCell, LocationSpace
 from repro.core.trace import Trace, TraceStep
@@ -149,37 +149,18 @@ class TsmInterface(Framework):
 
     def read_scan_chain(
         self, names: Optional[Sequence[str]] = None
-    ) -> Dict[str, List[int]]:
+    ) -> Dict[str, int]:
         chain_names = self.board.chains if names is None else names
         return {name: self.board.read_chain(name) for name in chain_names}
 
-    def write_scan_chain(self, chains: Dict[str, List[int]]) -> None:
-        for name, bits in chains.items():
-            self.board.write_chain(name, bits)
+    def write_scan_chain(self, chains: Dict[str, int]) -> None:
+        for name, image in chains.items():
+            self.board.write_chain(name, image)
 
     def inject_fault(
-        self, chains: Dict[str, List[int]], action: InjectionAction
+        self, chains: Dict[str, int], action: InjectionAction
     ) -> List[Injection]:
-        injections = []
-        for location in action.locations:
-            if not location.space.startswith("scan:"):
-                raise CampaignError(f"SCIFI cannot inject into {location.key()}")
-            chain_name = location.space.split(":", 1)[1]
-            chain = self.board.chain(chain_name)
-            offset = chain.bit_offset(location.path, location.bit)
-            before = chains[chain_name][offset]
-            after = apply_op(before, action.op)
-            chains[chain_name][offset] = after
-            injections.append(
-                Injection(
-                    time=action.time,
-                    location=location,
-                    op=action.op,
-                    bit_before=before,
-                    bit_after=after,
-                )
-            )
-        return injections
+        return inject_scan_images(self.board.chain, chains, action)
 
     # ------------------------------------------------------------------
     # Pre-runtime SWIFI block
@@ -240,20 +221,15 @@ class TsmInterface(Framework):
 
     def capture_state_vector(self) -> StateVector:
         vector: StateVector = {}
-        bits_cache: Dict[str, List[int]] = {}
+        images: Dict[str, int] = {}
         for cell in self._observe_cells:
             if cell.space.startswith("scan:"):
                 chain_name = cell.space.split(":", 1)[1]
-                if chain_name not in bits_cache:
-                    bits_cache[chain_name] = self.board.read_chain(chain_name)
-                chain = self.board.chain(chain_name)
-                offset = chain.bit_offset(cell.path, 0)
-                value = 0
-                for i, bit in enumerate(
-                    bits_cache[chain_name][offset : offset + cell.width]
-                ):
-                    value |= bit << i
-                vector[cell.full_path] = value
+                if chain_name not in images:
+                    images[chain_name] = self.board.read_chain(chain_name)
+                vector[cell.full_path] = self.board.chain(chain_name).cell_value(
+                    images[chain_name], cell.path
+                )
             elif cell.space.startswith("memory:"):
                 address = int(cell.path.split("0x", 1)[1], 16)
                 vector[cell.full_path] = self.board.read_memory(address)

@@ -4,8 +4,6 @@ from repro.util.bits import (
     bit_get,
     bit_set,
     bit_flip,
-    bits_to_int,
-    int_to_bits,
     parity,
     popcount,
 )
@@ -22,8 +20,6 @@ __all__ = [
     "bit_get",
     "bit_set",
     "bit_flip",
-    "bits_to_int",
-    "int_to_bits",
     "parity",
     "popcount",
     "ReproError",

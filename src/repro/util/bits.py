@@ -6,8 +6,6 @@ bit-vectors, LSB = bit 0.
 
 from __future__ import annotations
 
-from typing import List
-
 
 def bit_get(value: int, bit: int) -> int:
     """Return bit ``bit`` (0 or 1) of ``value``."""
@@ -33,27 +31,6 @@ def bit_flip(value: int, bit: int) -> int:
     if bit < 0:
         raise ValueError(f"bit index must be non-negative, got {bit}")
     return value ^ (1 << bit)
-
-
-def int_to_bits(value: int, width: int) -> List[int]:
-    """Expand ``value`` into ``width`` bits, LSB first."""
-    if width < 0:
-        raise ValueError(f"width must be non-negative, got {width}")
-    if value < 0:
-        raise ValueError(f"value must be non-negative, got {value}")
-    if value >> width:
-        raise ValueError(f"value {value:#x} does not fit in {width} bits")
-    return [(value >> i) & 1 for i in range(width)]
-
-
-def bits_to_int(bits: List[int]) -> int:
-    """Pack a LSB-first bit list back into an integer."""
-    value = 0
-    for i, bit in enumerate(bits):
-        if bit not in (0, 1):
-            raise ValueError(f"bit {i} must be 0 or 1, got {bit}")
-        value |= bit << i
-    return value
 
 
 def popcount(value: int) -> int:

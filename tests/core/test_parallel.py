@@ -33,6 +33,55 @@ pytestmark = pytest.mark.skipif(
 
 #: Environment variable naming a flag file for the crash-once port.
 _CRASH_FLAG_ENV = "GOOFI_TEST_CRASH_FLAG"
+#: Environment variables of the start-order ports: their marker
+#: directory and the parent's pid (the parent's own port must not stall).
+_START_DIR_ENV = "GOOFI_TEST_START_DIR"
+_PARENT_PID_ENV = "GOOFI_TEST_PARENT_PID"
+#: A ready worker's fair share in the start-order tests: 12 experiments
+#: in shards of one over two workers.
+_SHARE = 6
+
+
+def _marker(name):
+    return os.path.join(os.environ[_START_DIR_ENV], name)
+
+
+def _claim(name):
+    """Create marker ``name``; False when it already exists."""
+    try:
+        os.close(os.open(_marker(name), os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return False
+    return True
+
+
+def _await_marker(name, limit=20.0):
+    """Poll until marker ``name`` exists; on giving up after ``limit``
+    seconds, leave a ``timed-out`` marker for the test to find."""
+    deadline = time.monotonic() + limit
+    while not os.path.exists(_marker(name)):
+        if time.monotonic() > deadline:
+            _claim("timed-out")
+            return
+        time.sleep(0.01)
+
+
+def _log_experiment(index):
+    """Append ``index`` and whether marker ``prepared`` exists to this
+    process's log; return how many experiments the process has run."""
+    log = _marker(f"{os.getpid()}.log")
+    with open(log, "a") as handle:
+        handle.write(f"{index} {int(os.path.exists(_marker('prepared')))}\n")
+    with open(log) as handle:
+        return len(handle.readlines())
+
+
+def _read_logs(directory):
+    """Each worker's experiments as (index, saw ``prepared``) pairs."""
+    return [
+        [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        for log in directory.glob("*.log")
+    ]
 
 
 class HangingPort(ThorRDInterface):
@@ -58,13 +107,61 @@ class CrashOncePort(ThorRDInterface):
         return super().run_single_experiment(index, plan, reference)
 
 
+class SlowStartPort(ThorRDInterface):
+    """A port whose second worker to start stays starting until the
+    first has run its fair share; ``prepared`` marks the second's start
+    as finished, just before it reports ready."""
+
+    def prepare_run(self, campaign, golden=None):
+        if os.getpid() == int(os.environ[_PARENT_PID_ENV]):
+            return super().prepare_run(campaign, golden)
+        second = not _claim("first")
+        if second:
+            _await_marker("go")
+        reference = super().prepare_run(campaign, golden)
+        if second:
+            _claim("prepared")
+        return reference
+
+    def run_single_experiment(self, index, *args, **kwargs):
+        if _log_experiment(index) == _SHARE:
+            _claim("go")
+        return super().run_single_experiment(index, *args, **kwargs)
+
+
+class SlowRespawnPort(ThorRDInterface):
+    """A port whose first experiment kills its worker once both first
+    workers have begun to start; the replacement stays starting until
+    the survivor has run more than its fair share."""
+
+    def prepare_run(self, campaign, golden=None):
+        if os.getpid() != int(os.environ[_PARENT_PID_ENV]):
+            slot = next(k for k in range(10) if _claim(f"start{k}"))
+            if slot >= 2:
+                _await_marker("release")
+        return super().prepare_run(campaign, golden)
+
+    def run_single_experiment(self, index, *args, **kwargs):
+        if not os.path.exists(_marker("crashed")):
+            _await_marker("start1")
+            _claim("crashed")
+            os._exit(3)
+        if _log_experiment(index) == _SHARE + 1:
+            _claim("release")
+        return super().run_single_experiment(index, *args, **kwargs)
+
+
 @pytest.fixture(scope="module", autouse=True)
 def _extra_targets():
     register_target("thor-rd-hang")(HangingPort)
     register_target("thor-rd-crash")(CrashOncePort)
+    register_target("thor-rd-slow-start")(SlowStartPort)
+    register_target("thor-rd-slow-respawn")(SlowRespawnPort)
     yield
     unregister_target("thor-rd-hang")
     unregister_target("thor-rd-crash")
+    unregister_target("thor-rd-slow-start")
+    unregister_target("thor-rd-slow-respawn")
 
 
 def fast_config(**overrides):
@@ -196,6 +293,52 @@ class TestParallelController:
             db, campaign.campaign_name
         ) == canonical_experiment_rows(serial_db, campaign.campaign_name)
         serial_db.close()
+
+
+class TestStartDispatch:
+    def test_ready_worker_leaves_a_starting_worker_its_share(
+        self, tmp_path, monkeypatch
+    ):
+        """While a worker is still starting, the ready one takes its
+        fair share of the shards (6 of 12 here) without waiting, and
+        then no more until the other has reported ready."""
+        monkeypatch.setenv(_START_DIR_ENV, str(tmp_path))
+        monkeypatch.setenv(_PARENT_PID_ENV, str(os.getpid()))
+        sink = run_parallel_campaign(
+            make_campaign(n_experiments=12, seed=3),
+            worker_factory("thor-rd-slow-start"),
+            config=fast_config(shard_size=1),
+        )
+        assert len(sink.results) == 12
+        assert not (tmp_path / "timed-out").exists()
+        logs = _read_logs(tmp_path)
+        assert sorted(i for log in logs for i, _ in log) == list(range(12))
+        assert len(logs) == 2  # the slow starter ran experiments too
+        (fast,) = [log for log in logs if not log[0][1]]
+        assert [seen for _, seen in fast[:_SHARE]] == [0] * _SHARE
+        assert all(seen for _, seen in fast[_SHARE:])
+
+    def test_replacement_start_does_not_hold_back_survivor(
+        self, tmp_path, monkeypatch
+    ):
+        """The share applies to the first start only: while a crashed
+        worker's replacement starts, the survivor keeps taking shards
+        beyond its share (the replacement waits for its 7th)."""
+        monkeypatch.setenv(_START_DIR_ENV, str(tmp_path))
+        monkeypatch.setenv(_PARENT_PID_ENV, str(os.getpid()))
+        sink = run_parallel_campaign(
+            make_campaign(n_experiments=12, seed=3),
+            worker_factory("thor-rd-slow-respawn"),
+            config=fast_config(shard_size=1, max_retries=1),
+        )
+        assert (tmp_path / "crashed").exists()
+        assert (tmp_path / "start2").exists()  # the replacement started
+        assert not (tmp_path / "timed-out").exists()
+        assert sorted(r.index for r in sink.results) == list(range(12))
+        assert all(
+            r.termination.kind != "worker-failure" for r in sink.results
+        )
+        assert max(len(log) for log in _read_logs(tmp_path)) > _SHARE
 
 
 class TestFailureHandling:

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 from repro.thor.assembler import assemble
 from repro.thor.cpu import Cpu
 from repro.thor.scanchain import build_scan_chains
+from repro.tsm.board import TsmBoard
+from repro.tsm.workloads import get_tsm_workload
 
 
 def make_cpu(steps: int) -> Cpu:
@@ -32,7 +34,36 @@ def make_cpu(steps: int) -> Cpu:
     return cpu
 
 
+def make_tsm_board(cycles: int) -> TsmBoard:
+    board = TsmBoard()
+    board.init()
+    board.load_program(get_tsm_workload("factorial").program)
+    if cycles:
+        board.run(timeout_cycles=10_000, stop_cycle=cycles)
+    return board
+
+
 class TestScanInvariants:
+    @given(
+        st.sampled_from(["thor:internal", "thor:boundary", "tsm:internal"]),
+        st.integers(min_value=0, max_value=60),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_image_layout(self, which, steps):
+        """Bit *i* of an image is chain bit *i*: every cell's value sits
+        at its offset, LSB first."""
+        target, name = which.split(":")
+        if target == "thor":
+            chain = build_scan_chains(make_cpu(steps))[name]
+        else:
+            chain = make_tsm_board(steps).chain(name)
+        image = chain.read()
+        for cell in chain.cells():
+            offset = chain.bit_offset(cell.path, 0)
+            mask = (1 << cell.width) - 1
+            assert (image >> offset) & mask == cell.reader()
+
+
     @given(st.integers(min_value=0, max_value=60))
     @settings(max_examples=20, deadline=None)
     def test_read_is_stable(self, steps):
@@ -50,9 +81,9 @@ class TestScanInvariants:
         to only change the injected bits."""
         cpu = make_cpu(steps)
         chain = build_scan_chains(cpu)["internal"]
-        bits = chain.read()
-        chain.write(bits)
-        assert chain.read() == bits
+        image = chain.read()
+        chain.write(image)
+        assert chain.read() == image
 
     @given(
         st.integers(min_value=0, max_value=60),
@@ -64,7 +95,7 @@ class TestScanInvariants:
 
         cpu = make_cpu(steps)
         chain = build_scan_chains(cpu)["internal"]
-        bits = chain.read()
+        image = chain.read()
         rng = random.Random(seed)
         writable_offsets = [
             chain.bit_offset(cell.path, bit)
@@ -73,10 +104,12 @@ class TestScanInvariants:
             for bit in range(cell.width)
         ]
         offset = rng.choice(writable_offsets)
-        bits[offset] ^= 1
-        chain.write(bits)
+        image ^= 1 << offset
+        chain.write(image)
         after = chain.read()
-        diff = [i for i in range(chain.total_bits) if after[i] != bits[i]]
+        diff = [
+            i for i in range(chain.total_bits) if ((after ^ image) >> i) & 1
+        ]
         # Everything we wrote must now read back exactly (no hidden
         # coupling between cells).
         assert diff == []

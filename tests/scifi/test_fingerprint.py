@@ -87,10 +87,10 @@ def test_single_scan_write_through_the_chain(port):
     snapshot = port.card.cpu.snapshot()
     for name, cell in _writable_cells(port):
         chain = port.card.chain(name)
-        bits = port.card.read_chain(name)
+        image = port.card.read_chain(name)
         offset = chain.bit_offset(cell.path, cell.width - 1)
-        bits[offset] ^= 1
-        port.card.write_chain(name, bits)
+        image ^= 1 << offset
+        port.card.write_chain(name, image)
         assert _fingerprint(port) != base, f"{name}:{cell.path}"
         port.card.cpu.restore(snapshot)
         assert _fingerprint(port) == base

@@ -56,7 +56,7 @@ class TestScifiInjection:
         offset = bound_target.card.chain("internal").bit_offset(
             "cpu.regfile.r3", 7
         )
-        assert chains["internal"][offset] == injections[0].bit_after
+        assert (chains["internal"] >> offset) & 1 == injections[0].bit_after
         assert injections[0].bit_before != injections[0].bit_after
 
     def test_write_back_applies_fault_to_target(self, bound_target):
@@ -71,7 +71,7 @@ class TestScifiInjection:
         assert bound_target.card.cpu.regs[3] == 1 << 7
 
     def test_scifi_rejects_memory_locations(self, bound_target):
-        chains = {"internal": [], "boundary": []}
+        chains = {"internal": 0, "boundary": 0}
         location = FaultLocation("memory:code", "word.0x0100", 0)
         with pytest.raises(CampaignError):
             bound_target.inject_fault(

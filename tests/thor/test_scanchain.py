@@ -5,7 +5,6 @@ import pytest
 from repro.thor.assembler import assemble
 from repro.thor.cpu import Cpu
 from repro.thor.scanchain import ScanCell, ScanChain, build_scan_chains
-from repro.util.bits import bits_to_int, int_to_bits
 from repro.util.errors import TargetError
 
 
@@ -67,17 +66,17 @@ class TestReadWrite:
     def test_read_reflects_register_state(self):
         cpu = make_cpu_with_state()
         chain = build_scan_chains(cpu)["internal"]
-        bits = chain.read()
+        image = chain.read()
         offset = chain.bit_offset("cpu.regfile.r1", 0)
-        value = bits_to_int(bits[offset:offset + 32])
+        value = (image >> offset) & 0xFFFFFFFF
         assert value == 0x123
 
     def test_write_back_unchanged_is_identity(self):
         cpu = make_cpu_with_state()
         chain = build_scan_chains(cpu)["internal"]
-        bits = chain.read()
-        chain.write(bits)
-        assert chain.read() == bits
+        image = chain.read()
+        chain.write(image)
+        assert chain.read() == image
 
     def test_unchanged_writeback_does_not_force_ir(self):
         cpu = make_cpu_with_state()
@@ -88,35 +87,41 @@ class TestReadWrite:
     def test_flip_register_bit(self):
         cpu = make_cpu_with_state()
         chain = build_scan_chains(cpu)["internal"]
-        bits = chain.read()
+        image = chain.read()
         offset = chain.bit_offset("cpu.regfile.r1", 4)
-        bits[offset] ^= 1
-        chain.write(bits)
+        image ^= 1 << offset
+        chain.write(image)
         assert cpu.regs[1] == 0x123 ^ (1 << 4)
 
     def test_write_to_read_only_cell_ignored(self):
         cpu = make_cpu_with_state()
         chain = build_scan_chains(cpu)["internal"]
-        bits = chain.read()
+        image = chain.read()
         offset = chain.bit_offset("cpu.cycle_counter", 0)
         before = cpu.cycles
-        bits[offset] ^= 1
-        chain.write(bits)
+        image ^= 1 << offset
+        chain.write(image)
         assert cpu.cycles == before
 
     def test_wrong_length_rejected(self):
         cpu = Cpu()
         chain = build_scan_chains(cpu)["internal"]
         with pytest.raises(TargetError):
-            chain.write([0])
+            chain.write(-1)
+        with pytest.raises(TargetError):
+            chain.write(1 << chain.total_bits)
+        assert chain.writes == 0
+        overwide = ScanChain("c", [ScanCell("x", 4, lambda: 1 << 4)])
+        with pytest.raises(ValueError):
+            overwide.read()
 
     def test_ir_write_forces_pipeline(self):
         cpu = make_cpu_with_state()
         chain = build_scan_chains(cpu)["internal"]
-        bits = chain.read()
+        image = chain.read()
         offset = chain.bit_offset("cpu.pipeline.ir", 0)
-        bits[offset] ^= 1
-        chain.write(bits)
+        image ^= 1 << offset
+        chain.write(image)
         assert cpu.pipeline.ir_forced
 
     def test_cache_cells_survive_reset(self):
@@ -124,11 +129,11 @@ class TestReadWrite:
         # replaces the CacheLine instances.
         cpu = make_cpu_with_state()
         chain = build_scan_chains(cpu)["internal"]
-        bits = chain.read()
+        chain.read()
         offset = chain.bit_offset("dcache.line0.valid", 0)
         cpu.dcache.reset()
-        bits2 = chain.read()
-        assert bits2[offset] == 0  # reads the *new* line object
+        image2 = chain.read()
+        assert (image2 >> offset) & 1 == 0  # reads the *new* line object
 
     def test_operation_counters(self):
         cpu = Cpu()
@@ -143,14 +148,14 @@ class TestBoundaryChain:
     def test_pins_observe_bus_latches(self):
         cpu = make_cpu_with_state()
         chain = build_scan_chains(cpu)["boundary"]
-        bits = chain.read()
+        image = chain.read()
         offset = chain.bit_offset("pins.data_bus", 0)
-        value = bits_to_int(bits[offset:offset + 32])
+        value = (image >> offset) & 0xFFFFFFFF
         assert value == 77  # last memory transaction data
 
     def test_halt_pin(self):
         cpu = make_cpu_with_state()
         chain = build_scan_chains(cpu)["boundary"]
-        bits = chain.read()
+        image = chain.read()
         offset = chain.bit_offset("pins.halt", 0)
-        assert bits[offset] == 1
+        assert (image >> offset) & 1 == 1

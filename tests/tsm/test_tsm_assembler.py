@@ -94,9 +94,9 @@ class TestBoard:
         board.init()
         board.load_program(assemble_tsm("start:\n pushi 5\n halt\n"))
         board.run(timeout_cycles=100, stop_cycle=1)
-        bits = board.read_chain("internal")
-        board.write_chain("internal", bits)
-        assert board.read_chain("internal") == bits
+        image = board.read_chain("internal")
+        board.write_chain("internal", image)
+        assert board.read_chain("internal") == image
 
     def test_scan_write_changes_stack_cell(self):
         board = TsmBoard()
@@ -104,10 +104,10 @@ class TestBoard:
         board.load_program(assemble_tsm("start:\n pushi 5\n storei v\n halt\nv: word 0\n"))
         board.run(timeout_cycles=100, stop_cycle=1)  # after pushi
         chain = board.chain("internal")
-        bits = board.read_chain("internal")
+        image = board.read_chain("internal")
         offset = chain.bit_offset("tsm.dstack.s0", 1)
-        bits[offset] ^= 1
-        board.write_chain("internal", bits)
+        image ^= 1 << offset
+        board.write_chain("internal", image)
         board.run(timeout_cycles=1000)
         assert board.read_memory(board.program.symbols["v"]) == 5 ^ 2
 

@@ -43,31 +43,6 @@ class TestBitGetSetFlip:
             bits.bit_set(0, 0, 2)
 
 
-class TestBitListConversions:
-    def test_round_trip(self):
-        value = 0b1011001
-        assert bits.bits_to_int(bits.int_to_bits(value, 8)) == value
-
-    def test_lsb_first(self):
-        assert bits.int_to_bits(0b01, 2) == [1, 0]
-
-    def test_width_zero(self):
-        assert bits.int_to_bits(0, 0) == []
-        assert bits.bits_to_int([]) == 0
-
-    def test_overflow_rejected(self):
-        with pytest.raises(ValueError):
-            bits.int_to_bits(4, 2)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            bits.int_to_bits(-1, 4)
-
-    def test_non_bit_rejected(self):
-        with pytest.raises(ValueError):
-            bits.bits_to_int([0, 2])
-
-
 class TestParityPopcount:
     def test_popcount(self):
         assert bits.popcount(0) == 0
